@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use hsp_engine::ops;
+use hsp_engine::{ops, ExecContext};
 use hsp_rdf::Term;
 use hsp_sparql::{CmpOp, Expr, FilterExpr, Func, JoinQuery, Operand, Regex, SortKey, Var};
 use hsp_store::{Dataset, Order};
@@ -31,7 +31,7 @@ fn scan_all(ds: &Dataset, predicate: &str) -> hsp_engine::BindingTable {
         "SELECT ?x ?v WHERE {{ ?x <http://e/{predicate}> ?v . }}"
     ))
     .expect("parses");
-    ops::scan(ds, &q.patterns[0], Order::Pso)
+    ops::scan_in(&ExecContext::new(), ds, &q.patterns[0], Order::Pso)
 }
 
 fn bench_filter_kinds(c: &mut Criterion) {
@@ -52,7 +52,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             )),
         };
         group.bench_with_input(BenchmarkId::new("simple-eq", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &years, &simple)))
+            b.iter(|| black_box(ops::filter_in(&ExecContext::new(), &ds, &years, &simple)))
         });
 
         // Complex shape: typed numeric comparison with arithmetic.
@@ -72,7 +72,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             ))),
         }));
         group.bench_with_input(BenchmarkId::new("complex-arith", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &years, &complex)))
+            b.iter(|| black_box(ops::filter_in(&ExecContext::new(), &ds, &years, &complex)))
         });
 
         // REGEX over the title strings (compiled once per filter call via
@@ -85,7 +85,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             ],
         }));
         group.bench_with_input(BenchmarkId::new("regex", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &titles, &regex)))
+            b.iter(|| black_box(ops::filter_in(&ExecContext::new(), &ds, &titles, &regex)))
         });
     }
     group.finish();
@@ -135,10 +135,17 @@ fn bench_order_by(c: &mut Criterion) {
             descending: true,
         }];
         group.bench_with_input(BenchmarkId::new("numeric-desc", n), &n, |b, _| {
-            b.iter(|| black_box(ops::order_by(&ds, &years, &keys)))
+            b.iter(|| black_box(ops::order_by_in(&ExecContext::new(), &ds, &years, &keys)))
         });
         group.bench_with_input(BenchmarkId::new("slice-1000", n), &n, |b, _| {
-            b.iter(|| black_box(ops::slice(&years, n / 2, Some(1000))))
+            b.iter(|| {
+                black_box(ops::slice_in(
+                    &ExecContext::new(),
+                    &years,
+                    n / 2,
+                    Some(1000),
+                ))
+            })
         });
     }
     group.finish();

@@ -130,12 +130,12 @@ fn build_triples(n: usize, seed: u64) -> Vec<IdTriple> {
 /// Panics on any divergence.
 pub fn assert_kernels_agree(left: &BindingTable, right: &BindingTable) {
     assert_eq!(
-        ops::hash_join(left, right, &[Var(0)]).sorted_rows(),
+        ops::hash_join_in(&ExecContext::new(), left, right, &[Var(0)]).sorted_rows(),
         reference::hash_join(left, right, &[Var(0)]).sorted_rows(),
         "vectorized hash join diverges from reference"
     );
     assert_eq!(
-        ops::merge_join(left, right, Var(0)).sorted_rows(),
+        ops::merge_join_in(&ExecContext::new(), left, right, Var(0)).sorted_rows(),
         reference::merge_join(left, right, Var(0)).sorted_rows(),
         "vectorized merge join diverges from reference"
     );
@@ -157,12 +157,16 @@ pub fn measure_kernels() -> Vec<KernelResult> {
         results.push(KernelResult {
             name: format!("hash_join_{label}"),
             baseline_ns: median_ns(runs, || reference::hash_join(&left, &right, &[Var(0)])),
-            optimized_ns: median_ns(runs, || ops::hash_join(&left, &right, &[Var(0)])),
+            optimized_ns: median_ns(runs, || {
+                ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)])
+            }),
         });
         results.push(KernelResult {
             name: format!("merge_join_{label}"),
             baseline_ns: median_ns(runs, || reference::merge_join(&left, &right, Var(0))),
-            optimized_ns: median_ns(runs, || ops::merge_join(&left, &right, Var(0))),
+            optimized_ns: median_ns(runs, || {
+                ops::merge_join_in(&ExecContext::new(), &left, &right, Var(0))
+            }),
         });
     }
 
@@ -318,7 +322,7 @@ fn measure_parallel_filter(results: &mut Vec<KernelResult>, runs: usize) {
         hsp_sparql::TermOrVar::Const(hsp_rdf::Term::iri("http://e/title")),
         hsp_sparql::TermOrVar::Var(Var(1)),
     );
-    let input = ops::scan(&ds, &pattern, hsp_store::Order::Pso);
+    let input = ops::scan_in(&ExecContext::new(), &ds, &pattern, hsp_store::Order::Pso);
     let expr = FilterExpr::Complex(Box::new(Expr::Call {
         func: Func::Regex,
         args: vec![

@@ -6,7 +6,7 @@ use hsp_baseline::cdp::CdpError;
 use hsp_baseline::{CdpPlanner, HybridPlanner, LeftDeepPlanner, StockerPlanner};
 use hsp_core::{HspConfig, HspPlanner};
 use hsp_engine::plan::PhysicalPlan;
-use hsp_engine::{execute, ExecConfig, ExecError, ExecOutput};
+use hsp_engine::{execute, ExecConfig, ExecOutput};
 use hsp_sparql::rewrite::rewrite_filters;
 use hsp_sparql::JoinQuery;
 use hsp_store::Dataset;
@@ -190,7 +190,6 @@ pub fn timed_warm_runs(
                 }
                 last = Some(out);
             }
-            Err(e @ ExecError::BudgetExceeded { .. }) => return TimedRun::Failed(e.to_string()),
             Err(e) => return TimedRun::Failed(e.to_string()),
         }
     }

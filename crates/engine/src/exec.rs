@@ -3,15 +3,16 @@
 //! execution owns an [`ExecContext`] whose thread budget drives the
 //! parallel kernels and whose [`BufferPool`](crate::pool::BufferPool)
 //! recycles the columns of consumed intermediates.
+//!
+//! Production runs the pipeline executor ([`crate::pipeline`]); the
+//! operator-at-a-time tree walk in this module is the byte-identity oracle
+//! behind [`ExecStrategy::OperatorAtATime`].
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hsp_rdf::TermId;
-use hsp_sparql::Var;
 use hsp_store::Dataset;
 
 use crate::aggregate::AggError;
@@ -26,17 +27,14 @@ use crate::pool::ExecContext;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Lower the plan into morsel-driven pipelines with explicit breakers
-    /// ([`crate::pipeline`]) whenever the configuration allows it — the
-    /// default. SIP and row-budget executions fall back to the
-    /// operator-at-a-time evaluator, because both features are defined in
-    /// terms of materialised intermediates (domain narrowing reads them,
-    /// the budget counts them).
+    /// ([`crate::pipeline`]) — the default, and the only production
+    /// executor: SIP and the row budget run inside the pipelines.
     #[default]
     Auto,
-    /// Always the operator-at-a-time tree evaluator — every operator
-    /// materialises its full output. Retained as the byte-identity oracle
-    /// for the pipeline executor (and as the measured baseline of the
-    /// `pipeline_chain_*` bench rows).
+    /// The operator-at-a-time tree walk — every operator materialises its
+    /// full output. The byte-identity oracle for the pipeline executor in
+    /// tests and benches (and the measured baseline of the
+    /// `pipeline_chain_*` bench rows). It ignores [`ExecConfig::sip`].
     OperatorAtATime,
 }
 
@@ -53,7 +51,8 @@ pub struct ExecConfig {
     /// scans drop non-qualifying rows immediately. This is the run-time
     /// optimization Neumann et al. added to RDF-3X (the paper's §2 notes
     /// the extension); results are identical, intermediate results only
-    /// shrink.
+    /// shrink. The [`ExecStrategy::OperatorAtATime`] oracle ignores it —
+    /// SIP never changes results, so the oracle stays a valid reference.
     pub sip: bool,
     /// Thread budget for the morsel-parallel kernels. `None` (the default)
     /// detects it via `available_parallelism` (or the `HSP_FORCE_THREADS`
@@ -63,9 +62,8 @@ pub struct ExecConfig {
     /// parallel kernels stitch their per-morsel outputs
     /// deterministically).
     pub threads: Option<usize>,
-    /// Which evaluator runs the plan (pipeline by default; the
-    /// operator-at-a-time oracle on request, or automatically for SIP /
-    /// row-budget executions).
+    /// Which evaluator runs the plan: the pipelines by default, the
+    /// operator-at-a-time oracle only on request.
     pub strategy: ExecStrategy,
     /// Wall-clock deadline, measured from [`ExecConfig::context`]: past
     /// it, the next governor checkpoint surfaces
@@ -219,26 +217,6 @@ impl ExecConfig {
         }
     }
 }
-
-impl std::str::FromStr for ExecStrategy {
-    type Err = String;
-
-    /// Parse the CLI/server spelling of a strategy: `auto` (pipelines
-    /// when possible) or `operator` / `operator-at-a-time` (the
-    /// materialising oracle).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" | "pipeline" => Ok(ExecStrategy::Auto),
-            "operator" | "operator-at-a-time" | "oaat" => Ok(ExecStrategy::OperatorAtATime),
-            other => Err(format!("unknown strategy `{other}` (auto|operator)")),
-        }
-    }
-}
-
-/// The variable domains a SIP-enabled execution threads down the plan:
-/// a scan output binding `v` may drop every row whose value is outside
-/// `domains[v]`.
-type Domains = HashMap<Var, Rc<HashSet<TermId>>>;
 
 /// An execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -425,11 +403,12 @@ pub fn execute(
 /// counters at completion.
 ///
 /// Under the default [`ExecStrategy::Auto`] the plan is lowered into
-/// morsel-driven pipelines ([`crate::pipeline`]) and only breaker
-/// boundaries materialise; SIP and row-budget executions (and
-/// [`ExecStrategy::OperatorAtATime`]) take the operator-at-a-time tree
-/// walk, which materialises every intermediate. Both paths produce
-/// byte-identical tables and identical per-operator cardinalities.
+/// morsel-driven pipelines ([`crate::pipeline`]) — with SIP and the row
+/// budget applied there — and only breaker boundaries materialise.
+/// [`ExecStrategy::OperatorAtATime`] takes the tree walk, which
+/// materialises every intermediate. Both paths produce byte-identical
+/// tables and identical per-operator cardinalities (SIP aside, which only
+/// the pipelines apply).
 pub fn execute_in(
     plan: &PhysicalPlan,
     ds: &Dataset,
@@ -437,13 +416,11 @@ pub fn execute_in(
     ctx: &ExecContext,
 ) -> Result<ExecOutput, ExecError> {
     plan.validate()?;
-    let pipelined = config.strategy == ExecStrategy::Auto
-        && !config.sip
-        && config.max_intermediate_rows.is_none();
-    let (table, profile) = if pipelined {
-        crate::pipeline::lower(plan).run(ds, ctx)?
-    } else {
-        run(plan, ds, config, ctx, &Domains::new())?
+    let (table, profile) = match config.strategy {
+        ExecStrategy::Auto => {
+            crate::pipeline::lower(plan, config.sip).run(ds, ctx, config.max_intermediate_rows)?
+        }
+        ExecStrategy::OperatorAtATime => run(plan, ds, config, ctx)?,
     };
     Ok(ExecOutput {
         table,
@@ -455,7 +432,7 @@ pub fn execute_in(
 
 /// The profile label of a plan node — shared by the operator-at-a-time
 /// evaluator and the pipeline executor so their [`Profile`] trees are
-/// indistinguishable (the oracle appends `+sip` to scan labels itself).
+/// indistinguishable (the pipelines append `+sip` to SIP scans' labels).
 pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
     match plan {
         PhysicalPlan::Scan {
@@ -513,27 +490,14 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
     }
 }
 
-/// The distinct values of `vars` in `table`, merged (intersected) into a
-/// copy of `domains` — what a SIP join passes into its second input.
-fn narrowed(domains: &Domains, table: &BindingTable, vars: &[Var]) -> Domains {
-    let mut out = domains.clone();
-    for &v in vars {
-        let values: HashSet<TermId> = table.column(v).iter().copied().collect();
-        let merged = match out.get(&v) {
-            Some(existing) => Rc::new(existing.intersection(&values).copied().collect()),
-            None => Rc::new(values),
-        };
-        out.insert(v, merged);
-    }
-    out
-}
-
+/// The operator-at-a-time tree walk: evaluate `plan` bottom-up, fully
+/// materialising every operator's output (the oracle behind
+/// [`ExecStrategy::OperatorAtATime`]).
 fn run(
     plan: &PhysicalPlan,
     ds: &Dataset,
     config: &ExecConfig,
     ctx: &ExecContext,
-    domains: &Domains,
 ) -> Result<(BindingTable, Profile), ExecError> {
     // The oracle's cooperative checkpoint: once per operator, before its
     // kernel runs (the recursion visits every node, so a cancellation or
@@ -550,189 +514,100 @@ fn run(
             None => std::panic::resume_unwind(payload),
         },
     }
-    // Recycle an already-materialised sibling before propagating a child
-    // error, so failed executions leave the pool balanced and the memory
-    // accounting at zero.
-    // invariant: the join arms below wrap the first child's table in
-    // `Some` and only `take` it here on the error path — on success the
-    // later `expect("… retained on success")` unwraps always hold.
-    fn try_second(
-        result: Result<(BindingTable, Profile), ExecError>,
-        first: &mut Option<BindingTable>,
-        ctx: &ExecContext,
-    ) -> Result<(BindingTable, Profile), ExecError> {
-        if result.is_err() {
-            if let Some(t) = first.take() {
-                ctx.recycle(t);
-            }
-        }
-        result
+    // Evaluate the inputs — a hash join's build (right) side first, the
+    // pipelines' order, so a budget trip names the same operator. A child
+    // error recycles the already-materialised sibling, so failed
+    // executions leave the pool balanced and the memory accounting at
+    // zero.
+    let mut inputs: Vec<(BindingTable, Profile)> = Vec::with_capacity(2);
+    let build_first = matches!(
+        plan,
+        PhysicalPlan::HashJoin { .. } | PhysicalPlan::LeftOuterHashJoin { .. }
+    );
+    let mut children: Vec<&PhysicalPlan> = plan.children().collect();
+    if build_first {
+        children.reverse();
     }
-    match plan {
-        PhysicalPlan::Scan { pattern, order, .. } => {
-            let start = Instant::now();
-            let mut table = ops::scan_in(ctx, ds, pattern, *order);
-            let mut label = plan_label(plan);
-            if config.sip && table.vars().iter().any(|v| domains.contains_key(v)) {
-                let unfiltered = table;
-                table = ops::domain_filter_in(ctx, &unfiltered, domains);
-                // Plain pool recycle: `unfiltered` was never charged (only
-                // `finish` charges), so there are no bytes to release.
-                ctx.pool.recycle(unfiltered);
-                label.push_str("+sip");
+    for child in children {
+        match run(child, ds, config, ctx) {
+            Ok(input) => inputs.push(input),
+            Err(e) => {
+                for (table, _) in inputs {
+                    ctx.recycle(table);
+                }
+                return Err(e);
             }
-            finish(table, label, start, Vec::new(), config, ctx)
         }
-        PhysicalPlan::MergeJoin { left, right, var } => {
-            let (lt, lp) = run(left, ds, config, ctx, domains)?;
-            // SIP: the right side only needs rows whose join key occurs on
-            // the (already materialised) left side.
-            let mut lt = Some(lt);
-            let right_result = if config.sip {
-                let narrowed = narrowed(domains, lt.as_ref().expect("left just ran"), &[*var]);
-                run(right, ds, config, ctx, &narrowed)
-            } else {
-                run(right, ds, config, ctx, domains)
-            };
-            let (rt, rp) = try_second(right_result, &mut lt, ctx)?;
-            let lt = lt.expect("left retained on success");
-            let start = Instant::now();
-            let table = ops::merge_join_in(ctx, &lt, &rt, *var);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+    }
+    if build_first {
+        inputs.reverse();
+    }
+    let (tables, profiles): (Vec<BindingTable>, Vec<Profile>) = inputs.into_iter().unzip();
+    let start = Instant::now();
+    let result = apply(plan, &tables, ds, config, ctx);
+    for table in tables {
+        ctx.recycle(table);
+    }
+    finish(result?, plan_label(plan), start, profiles, config, ctx)
+}
+
+/// Run `plan`'s own operator over its materialised `inputs` (in plan
+/// order: `left`, `right` or `input`).
+fn apply(
+    plan: &PhysicalPlan,
+    inputs: &[BindingTable],
+    ds: &Dataset,
+    config: &ExecConfig,
+    ctx: &ExecContext,
+) -> Result<BindingTable, ExecError> {
+    Ok(match plan {
+        PhysicalPlan::Scan { pattern, order, .. } => ops::scan_in(ctx, ds, pattern, *order),
+        PhysicalPlan::MergeJoin { var, .. } => {
+            ops::merge_join_in(ctx, &inputs[0], &inputs[1], *var)
         }
-        PhysicalPlan::HashJoin { left, right, vars } => {
-            // Evaluate the build (right) side first so SIP can pass its
-            // join-key domain into the probe side's subtree.
-            let (rt, rp) = run(right, ds, config, ctx, domains)?;
-            let mut rt = Some(rt);
-            let left_result = if config.sip {
-                let narrowed = narrowed(domains, rt.as_ref().expect("right just ran"), vars);
-                run(left, ds, config, ctx, &narrowed)
-            } else {
-                run(left, ds, config, ctx, domains)
-            };
-            let (lt, lp) = try_second(left_result, &mut rt, ctx)?;
-            let rt = rt.expect("right retained on success");
-            let start = Instant::now();
-            let table = ops::hash_join_in(ctx, &lt, &rt, vars);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+        PhysicalPlan::HashJoin { vars, .. } => ops::hash_join_in(ctx, &inputs[0], &inputs[1], vars),
+        PhysicalPlan::LeftOuterHashJoin { vars, .. } => {
+            ops::left_outer_hash_join_in(ctx, &inputs[0], &inputs[1], vars)
         }
-        PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
-            // No SIP narrowing across an outer join: narrowing the probe
-            // (left) side would drop rows that must survive, and narrowing
-            // the build side would turn matched rows into UNBOUND-padded
-            // ones — changing values, not just dropping rows. The right
-            // subtree therefore runs domain-free; the left subtree may
-            // still apply the ambient domains (a left row outside a domain
-            // can never survive the enclosing inner join that produced it).
-            let (rt, rp) = run(right, ds, config, ctx, &Domains::new())?;
-            let mut rt = Some(rt);
-            let left_result = run(left, ds, config, ctx, domains);
-            let (lt, lp) = try_second(left_result, &mut rt, ctx)?;
-            let rt = rt.expect("right retained on success");
-            let start = Instant::now();
-            let table = ops::left_outer_hash_join_in(ctx, &lt, &rt, vars);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
-        }
-        PhysicalPlan::CrossProduct { left, right } => {
-            let (lt, lp) = run(left, ds, config, ctx, domains)?;
-            let mut lt = Some(lt);
-            let right_result = run(right, ds, config, ctx, domains);
-            let (rt, rp) = try_second(right_result, &mut lt, ctx)?;
-            let lt = lt.expect("left retained on success");
+        PhysicalPlan::CrossProduct { .. } => {
+            let (lt, rt) = (&inputs[0], &inputs[1]);
             // Check the budgets *before* materialising the product: this is
             // the guard that makes Cartesian plans fail fast instead of
             // exhausting memory.
             let rows = lt.len().saturating_mul(rt.len());
-            if let Some(budget) = config.max_intermediate_rows {
-                if rows > budget {
-                    ctx.recycle(lt);
-                    ctx.recycle(rt);
-                    return Err(ExecError::BudgetExceeded {
-                        operator: "crossproduct".into(),
-                        rows,
-                        budget,
-                    });
-                }
+            if let Some(budget) = config.max_intermediate_rows.filter(|&b| rows > b) {
+                return Err(ExecError::BudgetExceeded {
+                    operator: plan_label(plan),
+                    rows,
+                    budget,
+                });
             }
             let out_bytes = rows
                 .saturating_mul(lt.vars().len() + rt.vars().len())
                 .saturating_mul(std::mem::size_of::<TermId>());
-            if let Err(e) = ctx.reserve_check(out_bytes, "crossproduct") {
-                ctx.recycle(lt);
-                ctx.recycle(rt);
-                return Err(e.into());
-            }
-            let start = Instant::now();
-            let table = ops::cross_product_in(ctx, &lt, &rt);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            ctx.reserve_check(out_bytes, "crossproduct")?;
+            ops::cross_product_in(ctx, lt, rt)
         }
-        PhysicalPlan::Sort { input, var } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let table = ops::sort_by_in(ctx, &it, *var);
-            ctx.recycle(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
-        }
-        PhysicalPlan::Filter { input, expr } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let table = ops::filter_in(ctx, ds, &it, expr);
-            ctx.recycle(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
-        }
+        PhysicalPlan::Sort { var, .. } => ops::sort_by_in(ctx, &inputs[0], *var),
+        PhysicalPlan::Filter { expr, .. } => ops::filter_in(ctx, ds, &inputs[0], expr),
         PhysicalPlan::Project {
-            input,
             projection,
             distinct,
-        } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let table = ops::project_in(ctx, &it, projection, *distinct);
-            ctx.recycle(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
-        }
+            ..
+        } => ops::project_in(ctx, &inputs[0], projection, *distinct),
         PhysicalPlan::HashAggregate {
-            input,
             group_by,
             aggs,
             having,
+            ..
         } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let result =
-                crate::reference::hash_aggregate(ctx, ds, &it, group_by, aggs, having.as_ref());
-            ctx.recycle(it);
-            let table = result?;
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            crate::reference::hash_aggregate(ctx, ds, &inputs[0], group_by, aggs, having.as_ref())?
         }
-        PhysicalPlan::OrderBy { input, keys } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let table = ops::order_by_in(ctx, ds, &it, keys);
-            ctx.recycle(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+        PhysicalPlan::OrderBy { keys, .. } => ops::order_by_in(ctx, ds, &inputs[0], keys),
+        PhysicalPlan::Slice { offset, limit, .. } => {
+            ops::slice_in(ctx, &inputs[0], *offset, *limit)
         }
-        PhysicalPlan::Slice {
-            input,
-            offset,
-            limit,
-        } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
-            let start = Instant::now();
-            let table = ops::slice_in(ctx, &it, *offset, *limit);
-            ctx.recycle(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
-        }
-    }
+    })
 }
 
 fn finish(

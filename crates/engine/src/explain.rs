@@ -423,9 +423,11 @@ pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
 /// Render the pipeline DAG the default executor lowers `plan` into — one
 /// line per step: materialising breakers (`← breaker:`) and streaming
 /// pipelines (`← pipeline: source → stage → … → sink`), in dependency
-/// order. See [`crate::pipeline`].
-pub fn render_pipeline_dag(plan: &PhysicalPlan, query: &JoinQuery) -> String {
-    crate::pipeline::lower(plan).render(query)
+/// order. `sip` is the execution's [`ExecConfig::sip`](crate::ExecConfig::sip)
+/// (the same lowering input [`crate::execute_in`] uses), so SIP scans
+/// render as the `+sip` breakers that ran. See [`crate::pipeline`].
+pub fn render_pipeline_dag(plan: &PhysicalPlan, sip: bool, query: &JoinQuery) -> String {
+    crate::pipeline::lower(plan, sip).render(query)
 }
 
 /// Render a physical plan in Graphviz `dot` syntax: one node per operator
@@ -523,25 +525,8 @@ fn dot_node(
         label.replace('\\', "\\\\").replace('"', "\\\""),
         cards
     ));
-    let children: Vec<(&PhysicalPlan, Option<&Profile>)> = match plan {
-        PhysicalPlan::Scan { .. } => vec![],
-        PhysicalPlan::MergeJoin { left, right, .. }
-        | PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-        | PhysicalPlan::CrossProduct { left, right } => vec![
-            (left.as_ref(), profile.map(|p| &p.children[0])),
-            (right.as_ref(), profile.map(|p| &p.children[1])),
-        ],
-        PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::OrderBy { input, .. }
-        | PhysicalPlan::Slice { input, .. } => {
-            vec![(input.as_ref(), profile.map(|p| &p.children[0]))]
-        }
-    };
-    for (child, cp) in children {
+    for (i, child) in plan.children().enumerate() {
+        let cp = profile.map(|p| &p.children[i]);
         let cid = dot_node(child, cp, query, counter, out);
         out.push_str(&format!("  n{cid} -> n{id};\n"));
     }
@@ -736,7 +721,7 @@ mod tests {
     #[test]
     fn pipeline_dag_renders_for_a_planned_query() {
         let (_, query, plan) = setup();
-        let dag = render_pipeline_dag(&plan, &query);
+        let dag = render_pipeline_dag(&plan, false, &query);
         assert!(dag.starts_with("pipeline DAG"), "{dag}");
         assert!(dag.contains("result: s"), "{dag}");
     }

@@ -103,12 +103,13 @@
 //!   morsel-at-a-time end to end with thread-local index vectors,
 //!   gathering each output column once at the sink, and a breaker output
 //!   with a single consuming pipeline is handed off (its columns move
-//!   into the sink when no stage drops a row).
+//!   into the sink when no stage drops a row). SIP scans and the
+//!   intermediate-result row budget (used to make the SQL baseline's
+//!   Cartesian plans fail fast, the paper's "XXX" entries) run here too.
 //! * [`mod@reference`] — the retired row-at-a-time kernels, kept as oracle and
 //!   benchmark baseline.
-//! * [`exec`] — the tree evaluator, with per-operator profiling and an
-//!   intermediate-result row budget (used to make the SQL baseline's
-//!   Cartesian plans fail fast, the paper's "XXX" entries).
+//! * [`exec`] — execution entry points, configuration and profiles, plus
+//!   the operator-at-a-time tree walk kept as the byte-identity oracle.
 //! * [`cost`] — the RDF-3X cost model the paper uses for Table 3.
 //! * [`metrics`] — plan characteristics for Table 4 (merge/hash join counts,
 //!   left-deep vs bushy shape, plan similarity) and the runtime counters.

@@ -824,7 +824,18 @@ impl SharedPool {
     /// batches still complete: their submitters help on their own batch
     /// until the cursor is exhausted, whether or not any worker remains.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        {
+            // Set the flag under the queue lock: a worker checks it under
+            // that lock right before waiting, so a flag set between its
+            // check and its wait would lose the wake-up below and leave
+            // the join hanging.
+            let _queue = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         let workers = std::mem::take(
             &mut *self

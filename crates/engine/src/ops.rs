@@ -12,14 +12,13 @@
 //! [`crate::reference`] as the benchmark baseline and differential-testing
 //! oracle.
 //!
-//! Every operator comes in two spellings: a `*_in` variant taking an
-//! [`ExecContext`] — which supplies the [`crate::morsel`] thread budget for
-//! the parallel fast paths (hash-join build and probe, the
-//! range-partitioned merge join, scan gather/selection, FILTER evaluation
-//! and ORDER BY key extraction) and the [`crate::pool::BufferPool`] the
-//! gather phase checks output columns out of — and a plain variant that
-//! runs in a fresh default context (auto-detected parallelism, private
-//! pool), kept for call sites that evaluate a single operator.
+//! Every operator runs in an [`ExecContext`], which supplies the
+//! [`crate::morsel`] thread budget for the parallel fast paths (hash-join
+//! build and probe, the range-partitioned merge join, scan
+//! gather/selection, FILTER evaluation and ORDER BY key extraction) and the
+//! [`crate::pool::BufferPool`] the gather phase checks output columns out
+//! of. A call site that evaluates a single operator passes
+//! `&ExecContext::new()` (auto-detected parallelism, private pool).
 
 use std::collections::HashSet;
 
@@ -47,20 +46,15 @@ fn check_indexable(table: &BindingTable) {
 /// The output has one column per distinct pattern variable and is sorted by
 /// the first variable in key order (see [`scan_sort_var`]). If the pattern
 /// repeats a variable (e.g. `?x p ?x`), rows violating the implied equality
-/// are dropped.
+/// are dropped. The no-repeated-variable fast path gathers each output
+/// column in parallel stripes when the range clears the morsel threshold,
+/// the repeated-variable path selects qualifying rows morsel-at-a-time,
+/// and all output columns come from the context's pool.
 ///
 /// # Panics
 /// Panics if the pattern's constants do not form a prefix of `order`'s key
 /// ([`PhysicalPlan::validate`](crate::plan::PhysicalPlan::validate) catches
 /// this earlier).
-pub fn scan(ds: &Dataset, pattern: &TriplePattern, order: Order) -> BindingTable {
-    scan_in(&ExecContext::new(), ds, pattern, order)
-}
-
-/// [`scan`] in an execution context: the no-repeated-variable fast path
-/// gathers each output column in parallel stripes when the range clears the
-/// morsel threshold, the repeated-variable path selects qualifying rows
-/// morsel-at-a-time, and all output columns come from the context's pool.
 pub fn scan_in(
     ctx: &ExecContext,
     ds: &Dataset,
@@ -181,19 +175,11 @@ pub fn scan_in(
     BindingTable::from_columns(out_vars, cols, sorted)
 }
 
-/// Sort-merge join on `var`. Both inputs must be sorted by `var`; equality
-/// on any further shared variables is enforced pairwise. The output carries
-/// the left table's variables followed by the right table's non-shared
-/// variables, and stays sorted by `var`.
-///
-/// # Panics
-/// Panics if an input is not sorted by `var`.
-pub fn merge_join(left: &BindingTable, right: &BindingTable, var: Var) -> BindingTable {
-    merge_join_in(&ExecContext::new(), left, right, var)
-}
-
-/// [`merge_join`] in an execution context — the **range-partitioned
-/// parallel merge join**.
+/// Sort-merge join on `var` — the **range-partitioned parallel merge
+/// join**. Both inputs must be sorted by `var`; equality on any further
+/// shared variables is enforced pairwise. The output carries the left
+/// table's variables followed by the right table's non-shared variables,
+/// and stays sorted by `var`.
 ///
 /// When the combined input size clears the context's morsel threshold
 /// (and the thread budget allows), both sorted inputs are split at
@@ -208,6 +194,9 @@ pub fn merge_join(left: &BindingTable, right: &BindingTable, var: Var) -> Bindin
 /// group, and the partitions tile the key space in order. Below the
 /// threshold the single cursor pair runs sequentially into pooled
 /// buffers; either way the gather phase draws from the context's pool.
+///
+/// # Panics
+/// Panics if an input is not sorted by `var`.
 pub fn merge_join_in(
     ctx: &ExecContext,
     left: &BindingTable,
@@ -313,7 +302,8 @@ fn merge_pairs_partitioned(
     (lidx, ridx)
 }
 
-/// Hash join on `vars`: builds a table over the smaller conceptual side —
+/// Hash join on `vars` — the **morsel-driven probe**. It builds a table
+/// over the smaller conceptual side —
 /// here always `right` (planners put the build side on the right, mirroring
 /// the cost model's convention) — and probes with `left`, so the output
 /// preserves the left side's ordering.
@@ -325,14 +315,6 @@ fn merge_pairs_partitioned(
 /// [`crate::kernel::BuildTable`]). Matching index pairs are gathered
 /// column-at-a-time.
 ///
-/// # Panics
-/// Panics if `vars` is empty or not shared by both inputs.
-pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> BindingTable {
-    hash_join_in(&ExecContext::new(), left, right, vars)
-}
-
-/// [`hash_join`] in an execution context — the **morsel-driven probe**.
-///
 /// When the probe side clears the context's morsel threshold (and the
 /// thread budget allows), the probe index range is cut into fixed-size
 /// morsels; a scoped worker pool pulls morsels from a shared cursor and
@@ -342,6 +324,9 @@ pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> Bin
 /// left ordering still survives. Below the threshold the probe runs
 /// sequentially into pooled buffers; either way the gather phase checks
 /// its output columns out of the context's pool.
+///
+/// # Panics
+/// Panics if `vars` is empty or not shared by both inputs.
 pub fn hash_join_in(
     ctx: &ExecContext,
     left: &BindingTable,
@@ -430,15 +415,11 @@ fn probe_pairs(
     }
 }
 
-/// Cartesian product (left-major order, so the left ordering survives).
+/// Cartesian product (left-major order, so the left ordering survives),
+/// with pooled output columns.
 ///
 /// # Panics
 /// Panics if the inputs share a variable.
-pub fn cross_product(left: &BindingTable, right: &BindingTable) -> BindingTable {
-    cross_product_in(&ExecContext::new(), left, right)
-}
-
-/// [`cross_product`] in an execution context (pooled output columns).
 pub fn cross_product_in(
     ctx: &ExecContext,
     left: &BindingTable,
@@ -521,20 +502,16 @@ pub fn cross_product_in(
     out
 }
 
-/// Sort a table by `var` (stable), producing an order-enforced copy.
+/// Sort a table by `var` (stable), producing an order-enforced copy
+/// (pooled sort index and output). When the input clears the morsel
+/// threshold the comparison sort runs as a **parallel merge sort**
+/// ([`morsel::merge_sort`]): per-worker sorted runs, then parallel
+/// pairwise run merges. An explicit `(key, original index)` order makes
+/// the permutation unique, so the parallel result is element-for-element
+/// the sequential stable sort.
 ///
 /// # Panics
 /// Panics if `var` is not a variable of the table.
-pub fn sort_by(input: &BindingTable, var: Var) -> BindingTable {
-    sort_by_in(&ExecContext::new(), input, var)
-}
-
-/// [`sort_by`] in an execution context (pooled sort index and output).
-/// When the input clears the morsel threshold the comparison sort runs as
-/// a **parallel merge sort** ([`morsel::merge_sort`]): per-worker sorted
-/// runs, then parallel pairwise run merges. An explicit
-/// `(key, original index)` order makes the permutation unique, so the
-/// parallel result is element-for-element the sequential stable sort.
 pub fn sort_by_in(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTable {
     check_indexable(input);
     let key = input.column(var);
@@ -558,21 +535,12 @@ pub fn sort_by_in(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingT
 
 /// Left-outer hash join on `vars` (the OPTIONAL operator of the engine's
 /// extended evaluator): every left row survives; unmatched rows carry
-/// [`TermId::UNBOUND`] in the right-only columns.
+/// [`TermId::UNBOUND`] in the right-only columns. Same morsel-driven probe
+/// as [`hash_join_in`] — the unmatched-row sentinel is emitted per probe
+/// row, so per-morsel outputs still stitch deterministically.
 ///
 /// # Panics
 /// Panics if `vars` is empty or not shared by both inputs.
-pub fn left_outer_hash_join(
-    left: &BindingTable,
-    right: &BindingTable,
-    vars: &[Var],
-) -> BindingTable {
-    left_outer_hash_join_in(&ExecContext::new(), left, right, vars)
-}
-
-/// [`left_outer_hash_join`] in an execution context: same morsel-driven
-/// probe as [`hash_join_in`] — the unmatched-row sentinel is emitted per
-/// probe row, so per-morsel outputs still stitch deterministically.
 pub fn left_outer_hash_join_in(
     ctx: &ExecContext,
     left: &BindingTable,
@@ -619,12 +587,7 @@ pub fn left_outer_hash_join_in(
 
 /// Concatenate two tables over the union of their variables (the UNION
 /// operator): columns missing from a branch are padded with
-/// [`TermId::UNBOUND`].
-pub fn union_all(a: &BindingTable, b: &BindingTable) -> BindingTable {
-    union_all_in(&ExecContext::new(), a, b)
-}
-
-/// [`union_all`] in an execution context (pooled output columns).
+/// [`TermId::UNBOUND`] (pooled output columns).
 pub fn union_all_in(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> BindingTable {
     let mut out_vars = a.vars().to_vec();
     for &v in b.vars() {
@@ -652,17 +615,6 @@ pub fn union_all_in(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Bi
     BindingTable::from_columns(out_vars, cols, None)
 }
 
-/// Evaluate a residual FILTER, keeping the rows satisfying `expr`.
-///
-/// Simple (in)equality shapes compare interned ids directly; full-grammar
-/// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
-/// value semantics of [`hsp_sparql::expr`], one
-/// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
-/// cache) per worker thread.
-pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingTable {
-    filter_in(&ExecContext::new(), ds, input, expr)
-}
-
 thread_local! {
     /// The per-worker expression evaluator of the parallel FILTER /
     /// ORDER BY paths. A morsel worker may process many morsels, and
@@ -678,7 +630,12 @@ thread_local! {
     pub(crate) static WORKER_EVALUATOR: hsp_sparql::Evaluator = hsp_sparql::Evaluator::new();
 }
 
-/// [`filter`] in an execution context — the **morsel-parallel FILTER**.
+/// Evaluate a residual FILTER, keeping the rows satisfying `expr` — the
+/// **morsel-parallel FILTER**.
+///
+/// Simple (in)equality shapes compare interned ids directly; full-grammar
+/// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
+/// value semantics of [`hsp_sparql::expr`].
 ///
 /// When the input clears the context's morsel threshold, rows are
 /// evaluated morsel-at-a-time on the worker pool, each worker owning its
@@ -732,32 +689,25 @@ pub fn filter_in(
 }
 
 /// Sideways-information-passing reducer: keep only the rows whose value
-/// for every domain-constrained variable lies inside that variable's
-/// domain (a semi-join against already-materialised join inputs).
-/// Row order — and hence sortedness — is preserved.
-pub fn domain_filter(
-    input: &BindingTable,
-    domains: &std::collections::HashMap<Var, std::rc::Rc<std::collections::HashSet<TermId>>>,
-) -> BindingTable {
-    domain_filter_in(&ExecContext::new(), input, domains)
-}
-
-/// [`domain_filter`] in an execution context (pooled selection vector and
-/// output columns).
+/// for every domain-constrained variable occurs in that variable's domain
+/// column (a semi-join against already-materialised join inputs; a
+/// variable listed twice must occur in both columns). Pairs naming a
+/// variable the input does not bind are ignored. Row order — and hence
+/// sortedness — is preserved; the selection vector and output columns
+/// come from the context's pool.
 pub fn domain_filter_in(
     ctx: &ExecContext,
     input: &BindingTable,
-    domains: &std::collections::HashMap<Var, std::rc::Rc<std::collections::HashSet<TermId>>>,
+    domains: &[(Var, &[TermId])],
 ) -> BindingTable {
-    let constrained: Vec<(usize, &std::collections::HashSet<TermId>)> = input
-        .vars()
+    let constrained: Vec<(usize, HashSet<TermId, FxBuildHasher>)> = domains
         .iter()
-        .enumerate()
-        .filter_map(|(i, v)| domains.get(v).map(|set| (i, set.as_ref())))
+        .filter_map(|&(v, values)| {
+            input
+                .col_index(v)
+                .map(|c| (c, values.iter().copied().collect()))
+        })
         .collect();
-    if constrained.is_empty() {
-        return input.clone();
-    }
     check_indexable(input);
     let mut sel = ctx.pool.take_idx(input.len());
     sel.extend(
@@ -765,7 +715,7 @@ pub fn domain_filter_in(
             .filter(|&i| {
                 constrained
                     .iter()
-                    .all(|&(c, set)| set.contains(&input.columns()[c][i]))
+                    .all(|(c, set)| set.contains(&input.columns()[*c][i]))
             })
             .map(|i| i as u32),
     );
@@ -780,12 +730,8 @@ pub fn domain_filter_in(
 /// that error evaluate as unbound (sorting first), matching the usual
 /// engine behaviour for, e.g., `ORDER BY` over a variable that is unbound
 /// in some rows.
-pub fn order_by(ds: &Dataset, input: &BindingTable, keys: &[hsp_sparql::SortKey]) -> BindingTable {
-    order_by_in(&ExecContext::new(), ds, input, keys)
-}
-
-/// [`order_by`] in an execution context (pooled selection vector and
-/// output columns). The decorate phase — evaluating every key expression
+///
+/// The selection vector and output columns are pooled. The decorate phase — evaluating every key expression
 /// for every row — runs morsel-parallel with per-worker evaluators, like
 /// [`filter_in`]; per-morsel decorations stitch back in row order. The
 /// comparison sort then runs as a **parallel merge sort**
@@ -866,12 +812,8 @@ pub fn order_by_in(
     out
 }
 
-/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset`.
-pub fn slice(input: &BindingTable, offset: usize, limit: Option<usize>) -> BindingTable {
-    slice_in(&ExecContext::new(), input, offset, limit)
-}
-
-/// [`fn@slice`] in an execution context (pooled output columns).
+/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset` (pooled output
+/// columns).
 pub fn slice_in(
     ctx: &ExecContext,
     input: &BindingTable,
@@ -904,11 +846,7 @@ pub fn slice_in(
 /// Project to the given `(name, var)` list, optionally deduplicating.
 /// Duplicated projection entries referring to the same variable (after
 /// FILTER unification) share one column in the output's variable list.
-pub fn project(input: &BindingTable, projection: &[(String, Var)], distinct: bool) -> BindingTable {
-    project_in(&ExecContext::new(), input, projection, distinct)
-}
-
-/// [`project`] in an execution context (pooled output columns).
+/// Output columns are pooled.
 pub fn project_in(
     ctx: &ExecContext,
     input: &BindingTable,
@@ -963,7 +901,7 @@ pub fn project_in(
 }
 
 /// Row indices of the first occurrence of each distinct row of the given
-/// columns, ascending — the selection vector of `project(distinct = true)`.
+/// columns, ascending — the selection vector of `project_in(…, distinct = true)`.
 ///
 /// Rows of one or two columns deduplicate through a packed-`u64` Fx hash
 /// set; wider rows go through a sort index and keep each equal group's
@@ -1228,7 +1166,7 @@ mod tests {
     fn scan_bound_predicate() {
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Pso);
         assert_eq!(t.len(), 3);
         assert_eq!(t.sorted_by(), Some(Var(0)));
         assert!(t.check_sortedness());
@@ -1238,7 +1176,7 @@ mod tests {
     fn scan_sorted_by_object_side() {
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let t = scan(&ds, &pat, Order::Pos);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Pos);
         assert_eq!(t.len(), 3);
         assert_eq!(t.sorted_by(), Some(Var(1)));
         assert!(t.check_sortedness());
@@ -1248,7 +1186,7 @@ mod tests {
     fn scan_unknown_constant_is_empty() {
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("nope"), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Pso);
         assert!(t.is_empty());
     }
 
@@ -1256,7 +1194,7 @@ mod tests {
     fn scan_full_relation() {
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), vv(1), vv(2));
-        let t = scan(&ds, &pat, Order::Spo);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Spo);
         assert_eq!(t.len(), 6);
         assert_eq!(t.sorted_by(), Some(Var(0)));
     }
@@ -1266,7 +1204,7 @@ mod tests {
         // ?x ?p ?x — no subject equals its object in the fixture.
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), vv(1), vv(0));
-        let t = scan(&ds, &pat, Order::Spo);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Spo);
         assert_eq!(t.len(), 0);
         assert_eq!(t.vars(), &[Var(0), Var(1)]);
     }
@@ -1274,9 +1212,19 @@ mod tests {
     #[test]
     fn merge_join_basic() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pso);
-        let j = merge_join(&l, &r, Var(0));
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(2)),
+            Order::Pso,
+        );
+        let j = merge_join_in(&ExecContext::new(), &l, &r, Var(0));
         // a1 has 2 p-edges and 1 q-edge, a2 has 1 and 1: 3 rows.
         assert_eq!(j.len(), 3);
         assert_eq!(j.vars(), &[Var(0), Var(1), Var(2)]);
@@ -1287,10 +1235,20 @@ mod tests {
     #[test]
     fn merge_join_equals_hash_join() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pso);
-        let mj = merge_join(&l, &r, Var(0));
-        let hj = hash_join(&l, &r, &[Var(0)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(2)),
+            Order::Pso,
+        );
+        let mj = merge_join_in(&ExecContext::new(), &l, &r, Var(0));
+        let hj = hash_join_in(&ExecContext::new(), &l, &r, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
@@ -1298,9 +1256,19 @@ mod tests {
     fn hash_join_on_chain() {
         let ds = dataset();
         // ?a p ?b  ⋈  ?b r ?c  (s=o join on ?b)
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = hash_join(&l, &r, &[Var(1)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(1), cv("r"), vv(2)),
+            Order::Pso,
+        );
+        let j = hash_join_in(&ExecContext::new(), &l, &r, &[Var(1)]);
         // b1 has one r-edge; two p-edges end in b1.
         assert_eq!(j.len(), 2);
     }
@@ -1309,17 +1277,37 @@ mod tests {
     #[should_panic(expected = "not sorted by")]
     fn merge_join_rejects_unsorted_input() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pos);
-        merge_join(&l, &r, Var(0));
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(2)),
+            Order::Pos,
+        );
+        merge_join_in(&ExecContext::new(), &l, &r, Var(0));
     }
 
     #[test]
     fn cross_product_counts() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(2), cv("r"), vv(3)), Order::Pso);
-        let x = cross_product(&l, &r);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(2), cv("r"), vv(3)),
+            Order::Pso,
+        );
+        let x = cross_product_in(&ExecContext::new(), &l, &r);
         assert_eq!(x.len(), l.len() * r.len());
         assert_eq!(x.vars().len(), 4);
     }
@@ -1327,41 +1315,56 @@ mod tests {
     #[test]
     fn filter_numeric_comparison() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
         let expr = FilterExpr::Cmp {
             op: CmpOp::Gt,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("6")),
         };
-        let f = filter(&ds, &t, &expr);
+        let f = filter_in(&ExecContext::new(), &ds, &t, &expr);
         assert_eq!(f.len(), 1); // only "7" > "6"
     }
 
     #[test]
     fn filter_equality_on_foreign_constant() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
         let expr = FilterExpr::Cmp {
             op: CmpOp::Eq,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("not in dict")),
         };
-        assert!(filter(&ds, &t, &expr).is_empty());
+        assert!(filter_in(&ExecContext::new(), &ds, &t, &expr).is_empty());
         let ne = FilterExpr::Cmp {
             op: CmpOp::Ne,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("not in dict")),
         };
-        assert_eq!(filter(&ds, &t, &ne).len(), t.len());
+        assert_eq!(filter_in(&ExecContext::new(), &ds, &t, &ne).len(), t.len());
     }
 
     #[test]
     fn project_plain_and_distinct() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[("s".into(), Var(0))], false);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let p = project_in(&ExecContext::new(), &t, &[("s".into(), Var(0))], false);
         assert_eq!(p.len(), 3);
-        let d = project(&t, &[("s".into(), Var(0))], true);
+        let d = project_in(&ExecContext::new(), &t, &[("s".into(), Var(0))], true);
         assert_eq!(d.len(), 2); // a1, a2
         assert_eq!(d.sorted_by(), Some(Var(0)));
     }
@@ -1369,8 +1372,18 @@ mod tests {
     #[test]
     fn project_duplicate_entries_share_column() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[("a".into(), Var(0)), ("b".into(), Var(0))], false);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let p = project_in(
+            &ExecContext::new(),
+            &t,
+            &[("a".into(), Var(0)), ("b".into(), Var(0))],
+            false,
+        );
         assert_eq!(p.vars(), &[Var(0)]);
         assert_eq!(p.len(), 3);
     }
@@ -1379,9 +1392,14 @@ mod tests {
     fn sort_by_enforces_order() {
         let ds = dataset();
         // POS scan is sorted by the object; re-sort by the subject.
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pos);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pos,
+        );
         assert_eq!(t.sorted_by(), Some(Var(1)));
-        let sorted = sort_by(&t, Var(0));
+        let sorted = sort_by_in(&ExecContext::new(), &t, Var(0));
         assert_eq!(sorted.sorted_by(), Some(Var(0)));
         assert!(sorted.check_sortedness());
         assert_eq!(sorted.len(), t.len());
@@ -1391,11 +1409,21 @@ mod tests {
     #[test]
     fn sort_enables_merge_join() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r_wrong_order = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pos);
-        let r = sort_by(&r_wrong_order, Var(0));
-        let mj = merge_join(&l, &r, Var(0));
-        let hj = hash_join(&l, &r_wrong_order, &[Var(0)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r_wrong_order = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(2)),
+            Order::Pos,
+        );
+        let r = sort_by_in(&ExecContext::new(), &r_wrong_order, Var(0));
+        let mj = merge_join_in(&ExecContext::new(), &l, &r, Var(0));
+        let hj = hash_join_in(&ExecContext::new(), &l, &r_wrong_order, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
@@ -1403,9 +1431,19 @@ mod tests {
     fn left_outer_join_keeps_unmatched_rows() {
         let ds = dataset();
         // ?a p ?b  LEFT OUTER  ?b r ?c: only b1 has an r-edge.
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = left_outer_hash_join(&l, &r, &[Var(1)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(1), cv("r"), vv(2)),
+            Order::Pso,
+        );
+        let j = left_outer_hash_join_in(&ExecContext::new(), &l, &r, &[Var(1)]);
         assert_eq!(j.len(), 3); // every p-edge survives
         let c_col = j.column(Var(2));
         let unbound = c_col.iter().filter(|id| id.is_unbound()).count();
@@ -1415,19 +1453,39 @@ mod tests {
     #[test]
     fn left_outer_join_equals_inner_when_all_match() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(2)), Order::Pso);
-        let outer = left_outer_hash_join(&l, &r, &[Var(0)]);
-        let inner = hash_join(&l, &r, &[Var(0)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(2)),
+            Order::Pso,
+        );
+        let outer = left_outer_hash_join_in(&ExecContext::new(), &l, &r, &[Var(0)]);
+        let inner = hash_join_in(&ExecContext::new(), &l, &r, &[Var(0)]);
         assert_eq!(outer.sorted_rows(), inner.sorted_rows());
     }
 
     #[test]
     fn union_all_pads_missing_columns() {
         let ds = dataset();
-        let a = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let b = scan(&ds, &TriplePattern::new(vv(0), cv("r"), vv(2)), Order::Pso);
-        let u = union_all(&a, &b);
+        let a = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
+        let b = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("r"), vv(2)),
+            Order::Pso,
+        );
+        let u = union_all_in(&ExecContext::new(), &a, &b);
         assert_eq!(u.len(), a.len() + b.len());
         assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         // Rows from `a` have UNBOUND in ?2; rows from `b` in ?1.
@@ -1438,9 +1496,19 @@ mod tests {
     #[test]
     fn filter_on_unbound_is_false() {
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = left_outer_hash_join(&l, &r, &[Var(1)]);
+        let l = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(1), cv("r"), vv(2)),
+            Order::Pso,
+        );
+        let j = left_outer_hash_join_in(&ExecContext::new(), &l, &r, &[Var(1)]);
         // ?c = "x" keeps matched rows only; ?c != "x" keeps NO unbound rows
         // either (type error semantics).
         let eq = FilterExpr::Cmp {
@@ -1448,55 +1516,70 @@ mod tests {
             lhs: Operand::Var(Var(2)),
             rhs: Operand::Const(Term::literal("x")),
         };
-        assert_eq!(filter(&ds, &j, &eq).len(), 2);
+        assert_eq!(filter_in(&ExecContext::new(), &ds, &j, &eq).len(), 2);
         let ne = FilterExpr::Cmp {
             op: CmpOp::Ne,
             lhs: Operand::Var(Var(2)),
             rhs: Operand::Const(Term::literal("x")),
         };
-        assert_eq!(filter(&ds, &j, &ne).len(), 0);
+        assert_eq!(filter_in(&ExecContext::new(), &ds, &j, &ne).len(), 0);
     }
 
     #[test]
     fn scan_fully_ground_pattern_is_unit() {
         let ds = dataset();
         let present = TriplePattern::new(cv("a1"), cv("p"), cv("b1"));
-        let t = scan(&ds, &present, Order::Spo);
+        let t = scan_in(&ExecContext::new(), &ds, &present, Order::Spo);
         assert_eq!(t.len(), 1);
         assert!(t.vars().is_empty());
         let absent = TriplePattern::new(cv("a1"), cv("p"), cv("b9"));
-        assert_eq!(scan(&ds, &absent, Order::Spo).len(), 0);
+        assert_eq!(
+            scan_in(&ExecContext::new(), &ds, &absent, Order::Spo).len(),
+            0
+        );
     }
 
     #[test]
     fn cross_product_with_unit_table_keeps_rows() {
         let ds = dataset();
-        let l = scan(
+        let l = scan_in(
+            &ExecContext::new(),
             &ds,
             &TriplePattern::new(cv("a1"), cv("p"), cv("b1")),
             Order::Spo,
         );
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let x = cross_product(&l, &r);
+        let r = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("q"), vv(1)),
+            Order::Pso,
+        );
+        let x = cross_product_in(&ExecContext::new(), &l, &r);
         assert_eq!(x.len(), 2); // 1 unit row × 2 q-rows
         assert_eq!(x.vars(), &[Var(0), Var(1)]);
         // An absent ground pattern annihilates the product.
-        let l0 = scan(
+        let l0 = scan_in(
+            &ExecContext::new(),
             &ds,
             &TriplePattern::new(cv("a1"), cv("p"), cv("b9")),
             Order::Spo,
         );
-        assert_eq!(cross_product(&l0, &r).len(), 0);
+        assert_eq!(cross_product_in(&ExecContext::new(), &l0, &r).len(), 0);
     }
 
     #[test]
     fn empty_projection_keeps_row_count() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[], false);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
+        let p = project_in(&ExecContext::new(), &t, &[], false);
         assert_eq!(p.len(), 3);
         assert!(p.vars().is_empty());
-        assert_eq!(project(&t, &[], true).len(), 1);
+        assert_eq!(project_in(&ExecContext::new(), &t, &[], true).len(), 1);
     }
 
     #[test]
@@ -1509,7 +1592,8 @@ mod tests {
         )
         .unwrap();
         // Scan all titles, keep those matching \(19\d\d\).
-        let t = scan(
+        let t = scan_in(
+            &ExecContext::new(),
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1)),
             Order::Pso,
@@ -1522,7 +1606,7 @@ mod tests {
                 hsp_sparql::Expr::Const(Term::literal(r"\(19\d\d\)")),
             ],
         }));
-        let out = filter(&ds, &t, &expr);
+        let out = filter_in(&ExecContext::new(), &ds, &t, &expr);
         assert_eq!(out.len(), 2);
         // Sortedness is preserved by filtering.
         assert_eq!(out.sorted_by(), t.sorted_by());
@@ -1536,7 +1620,8 @@ mod tests {
 "#,
         )
         .unwrap();
-        let t = scan(
+        let t = scan_in(
+            &ExecContext::new(),
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/pages")), vv(1)),
             Order::Pso,
@@ -1557,21 +1642,26 @@ mod tests {
                 hsp_rdf::vocab::XSD_INTEGER,
             ))),
         }));
-        let out = filter(&ds, &t, &expr);
+        let out = filter_in(&ExecContext::new(), &ds, &t, &expr);
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn complex_filter_unbound_var_drops_row() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
         // FILTER on a variable not in the table: every row errors → empty.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Cmp {
             op: CmpOp::Eq,
             lhs: Box::new(hsp_sparql::Expr::Var(Var(9))),
             rhs: Box::new(hsp_sparql::Expr::Const(Term::literal("x"))),
         }));
-        assert_eq!(filter(&ds, &t, &expr).len(), 0);
+        assert_eq!(filter_in(&ExecContext::new(), &ds, &t, &expr).len(), 0);
         // …but BOUND(?v9) = false keeps them all.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Not(Box::new(
             hsp_sparql::Expr::Call {
@@ -1579,7 +1669,10 @@ mod tests {
                 args: vec![hsp_sparql::Expr::Var(Var(9))],
             },
         ))));
-        assert_eq!(filter(&ds, &t, &expr).len(), t.len());
+        assert_eq!(
+            filter_in(&ExecContext::new(), &ds, &t, &expr).len(),
+            t.len()
+        );
     }
 
     #[test]
@@ -1591,7 +1684,8 @@ mod tests {
 "#,
         )
         .unwrap();
-        let t = scan(
+        let t = scan_in(
+            &ExecContext::new(),
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/n")), vv(1)),
             Order::Pso,
@@ -1600,7 +1694,7 @@ mod tests {
             expr: hsp_sparql::Expr::Var(Var(1)),
             descending: false,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by_in(&ExecContext::new(), &ds, &t, &keys);
         // Numeric order 9 < 10 < 100, not lexicographic "10" < "100" < "9".
         let vals: Vec<String> = (0..sorted.len())
             .map(|i| {
@@ -1616,20 +1710,25 @@ mod tests {
             expr: hsp_sparql::Expr::Var(Var(1)),
             descending: true,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by_in(&ExecContext::new(), &ds, &t, &keys);
         assert_eq!(ds.dict().term(sorted.value(Var(1), 0)).lexical(), "100");
     }
 
     #[test]
     fn order_by_is_stable_on_ties() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
         // Sort by a constant key: every row ties, order must be unchanged.
         let keys = vec![hsp_sparql::SortKey {
             expr: hsp_sparql::Expr::Const(Term::literal("same")),
             descending: false,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by_in(&ExecContext::new(), &ds, &t, &keys);
         assert_eq!(sorted.sorted_rows(), t.sorted_rows());
         for i in 0..t.len() {
             assert_eq!(sorted.row(i), t.row(i));
@@ -1639,22 +1738,30 @@ mod tests {
     #[test]
     fn slice_bounds() {
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = scan_in(
+            &ExecContext::new(),
+            &ds,
+            &TriplePattern::new(vv(0), cv("p"), vv(1)),
+            Order::Pso,
+        );
         assert_eq!(t.len(), 3);
-        assert_eq!(slice(&t, 0, Some(2)).len(), 2);
-        assert_eq!(slice(&t, 1, Some(2)).len(), 2);
-        assert_eq!(slice(&t, 2, Some(2)).len(), 1);
-        assert_eq!(slice(&t, 5, Some(2)).len(), 0);
-        assert_eq!(slice(&t, 0, None).len(), 3);
-        assert_eq!(slice(&t, 1, None).len(), 2);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 0, Some(2)).len(), 2);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 1, Some(2)).len(), 2);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 2, Some(2)).len(), 1);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 5, Some(2)).len(), 0);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 0, None).len(), 3);
+        assert_eq!(slice_in(&ExecContext::new(), &t, 1, None).len(), 2);
         // offset+limit partition the input.
-        let a = slice(&t, 0, Some(1));
-        let b = slice(&t, 1, None);
+        let a = slice_in(&ExecContext::new(), &t, 0, Some(1));
+        let b = slice_in(&ExecContext::new(), &t, 1, None);
         assert_eq!(a.len() + b.len(), t.len());
         assert_eq!(a.row(0), t.row(0));
         assert_eq!(b.row(0), t.row(1));
         // Slicing preserves sortedness metadata.
-        assert_eq!(slice(&t, 1, Some(1)).sorted_by(), t.sorted_by());
+        assert_eq!(
+            slice_in(&ExecContext::new(), &t, 1, Some(1)).sorted_by(),
+            t.sorted_by()
+        );
     }
 
     /// A forced-parallel context: tiny morsels, no row threshold, so even
@@ -1767,7 +1874,10 @@ mod tests {
     /// Sorted variants of [`big_join_inputs`] for the merge-join tests.
     fn big_sorted_inputs(n: usize) -> (BindingTable, BindingTable) {
         let (l, r) = big_join_inputs(n);
-        (sort_by(&l, Var(0)), sort_by(&r, Var(0)))
+        (
+            sort_by_in(&ExecContext::new(), &l, Var(0)),
+            sort_by_in(&ExecContext::new(), &r, Var(0)),
+        )
     }
 
     #[test]
@@ -1856,7 +1966,7 @@ mod tests {
     fn parallel_filter_is_byte_identical_to_sequential() {
         let ds = titles_dataset(800);
         let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Pso);
         // A REGEX filter: every worker compiles the pattern into its own
         // evaluator's cache.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Call {
@@ -1880,7 +1990,7 @@ mod tests {
     fn parallel_order_by_is_byte_identical_to_sequential() {
         let ds = titles_dataset(500);
         let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan_in(&ExecContext::new(), &ds, &pat, Order::Pso);
         for descending in [false, true] {
             let keys = vec![hsp_sparql::SortKey {
                 expr: hsp_sparql::Expr::Var(Var(1)),
@@ -1927,7 +2037,7 @@ mod tests {
             vec![vec![TermId(1), TermId(2)], vec![TermId(6), TermId(9)]],
             Some(Var(0)),
         );
-        let j = merge_join(&l, &r, Var(0));
+        let j = merge_join_in(&ExecContext::new(), &l, &r, Var(0));
         assert_eq!(j.len(), 1); // only (1, 6) matches on both columns
         assert_eq!(j.row(0), vec![TermId(1), TermId(6)]);
     }

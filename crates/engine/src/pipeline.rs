@@ -51,9 +51,25 @@
 //! per-operator output cardinalities are still counted exactly, so the
 //! produced [`Profile`] matches the oracle's row for row.
 //!
-//! Executions that enable SIP or a row budget fall back to the
-//! operator-at-a-time evaluator (see [`crate::exec::ExecStrategy`]): both
-//! features are defined in terms of materialised intermediates.
+//! Both run-time options of the paper's experiments run here too:
+//!
+//! * **SIP** (sideways information passing, RDF-3X's run-time join-key
+//!   pruning): lowering emits steps in the tree walk's evaluation order —
+//!   a hash join seals its build side before lowering its probe chain, a
+//!   merge join seals its left input before its right — so [`lower`]
+//!   threads a domain list down the plan as `(var, slot)` pairs whose
+//!   slot column bounds `var`. A hash join narrows its probe subtree by
+//!   the build slot, a merge join its right subtree by the left slot, a
+//!   left-outer join lowers its optional side with no domains, everything
+//!   else passes the domains through. A scan binding a narrowed variable
+//!   materialises as a breaker that semi-joins its output against those
+//!   slots ([`ops::domain_filter_in`]) and profiles as `+sip`; the domain
+//!   slots are always filled, and not yet consumed, when it runs.
+//! * **The row budget** ([`Program::run`]): a cross product is refused
+//!   up front when its exact output size exceeds the budget, and after
+//!   every step each plan node the step produced is checked in the walk's
+//!   post-order, so a trip reports the same operator and row count the
+//!   walk would.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,7 +112,14 @@ pub struct Program<'p> {
     /// Plan-node pre-order ids, keyed by node address (stable: the plan is
     /// borrowed for `'p`).
     ids: HashMap<*const PhysicalPlan, NodeId>,
+    /// The scans lowered with a SIP domain filter (their profile label
+    /// gets `+sip`).
+    sip_scans: Vec<NodeId>,
 }
+
+/// The SIP domains in force while lowering a subtree: each `(var, slot)`
+/// pair bounds `var` to the values of `var`'s column in `slot`.
+type Domains = [(Var, SlotId)];
 
 enum Step<'p> {
     /// A breaker: run one materialising operator over already-filled slots.
@@ -110,11 +133,14 @@ enum Step<'p> {
 }
 
 enum BreakerOp<'p> {
-    /// A scan feeding a breaker directly (or a zero-variable scan, whose
-    /// unit rows have no columns to stream).
+    /// A scan feeding a breaker directly, a zero-variable scan (whose
+    /// unit rows have no columns to stream), or a SIP scan: its output
+    /// keeps only the rows whose `domains` variables occur in the paired
+    /// slots' columns.
     Scan {
         pattern: &'p TriplePattern,
         order: Order,
+        domains: Vec<(Var, SlotId)>,
     },
     MergeJoin {
         left: SlotId,
@@ -160,6 +186,20 @@ struct Pipeline<'p> {
     out: SlotId,
 }
 
+impl Pipeline<'_> {
+    /// The plan nodes this pipeline produces, in the tree walk's
+    /// post-order: a scan source, then each stage.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let source = match self.source {
+            SourceSpec::Scan { node, .. } => Some(node),
+            SourceSpec::Slot(_) => None,
+        };
+        source
+            .into_iter()
+            .chain(self.stages.iter().map(StageSpec::node))
+    }
+}
+
 enum SourceSpec<'p> {
     /// Stream straight out of an ordered relation.
     Scan {
@@ -200,8 +240,21 @@ enum StageSpec<'p> {
     },
 }
 
-/// Lower a validated plan into a [`Program`].
-pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
+impl StageSpec<'_> {
+    /// The plan node this stage evaluates.
+    fn node(&self) -> NodeId {
+        match self {
+            StageSpec::Filter { node, .. }
+            | StageSpec::Probe { node, .. }
+            | StageSpec::Project { node, .. }
+            | StageSpec::Distinct { node, .. } => *node,
+        }
+    }
+}
+
+/// Lower a validated plan into a [`Program`]; with `sip`, scans are
+/// narrowed by sideways information passing (see the module docs).
+pub fn lower(plan: &PhysicalPlan, sip: bool) -> Program<'_> {
     let mut ids = HashMap::new();
     let mut counter = 0usize;
     plan.visit(&mut |p| {
@@ -210,20 +263,30 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
     });
     let mut lowerer = Lowerer {
         ids: &ids,
+        sip,
         steps: Vec::new(),
         slot_count: 0,
     };
-    let chain = lowerer.chain(plan, true);
+    let chain = lowerer.chain(plan, true, &[]);
     let root = lowerer.seal(chain);
 
     // Single-consumer hand-off analysis: a slot consumed exactly once, by
-    // a pipeline's *source*, is handed to that pipeline directly.
+    // a pipeline's *source*, is handed to that pipeline directly. A SIP
+    // scan's domain read counts as a consumer.
     let mut consumers = vec![0usize; lowerer.slot_count];
     let mut source_consumers = vec![0usize; lowerer.slot_count];
+    let mut sip_scans = Vec::new();
     for step in &lowerer.steps {
         match step {
-            Step::Breaker { op, .. } => match op {
-                BreakerOp::Scan { .. } => {}
+            Step::Breaker { node, op, .. } => match op {
+                BreakerOp::Scan { domains, .. } => {
+                    if !domains.is_empty() {
+                        sip_scans.push(*node);
+                    }
+                    for &(_, slot) in domains {
+                        consumers[slot] += 1;
+                    }
+                }
                 BreakerOp::MergeJoin { left, right, .. }
                 | BreakerOp::CrossProduct { left, right } => {
                     consumers[*left] += 1;
@@ -260,6 +323,7 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
         root,
         handoff,
         ids,
+        sip_scans,
     }
 }
 
@@ -272,6 +336,7 @@ struct Chain<'p> {
 
 struct Lowerer<'p, 'i> {
     ids: &'i HashMap<*const PhysicalPlan, NodeId>,
+    sip: bool,
     steps: Vec<Step<'p>>,
     slot_count: usize,
 }
@@ -279,6 +344,24 @@ struct Lowerer<'p, 'i> {
 impl<'p> Lowerer<'p, '_> {
     fn node_id(&self, plan: &'p PhysicalPlan) -> NodeId {
         self.ids[&(plan as *const PhysicalPlan)]
+    }
+
+    /// The domains a join passes to its second-lowered input: `domains`
+    /// plus `vars` bounded by the already-sealed `slot` (with SIP on).
+    fn narrowed(&self, domains: &Domains, vars: &[Var], slot: SlotId) -> Vec<(Var, SlotId)> {
+        let mut out = domains.to_vec();
+        if self.sip {
+            out.extend(vars.iter().map(|&v| (v, slot)));
+        }
+        out
+    }
+
+    /// A chain whose source is an already-materialised slot.
+    fn slot_chain(slot: SlotId) -> Chain<'p> {
+        Chain {
+            source: SourceSpec::Slot(slot),
+            stages: Vec::new(),
+        }
     }
 
     fn new_slot(&mut self) -> SlotId {
@@ -302,8 +385,9 @@ impl<'p> Lowerer<'p, '_> {
     /// returned chain — the condition under which a DISTINCT projection may
     /// stream (dedup per morsel, global pass at the sink) instead of
     /// materialising: nothing downstream in the same chain ever observes
-    /// the not-yet-globally-deduped rows.
-    fn chain(&mut self, plan: &'p PhysicalPlan, last: bool) -> Chain<'p> {
+    /// the not-yet-globally-deduped rows. `domains` are the SIP domains in
+    /// force for this subtree (always empty without SIP).
+    fn chain(&mut self, plan: &'p PhysicalPlan, last: bool, domains: &Domains) -> Chain<'p> {
         debug_assert_eq!(
             plan.is_pipeline_breaker(),
             !matches!(
@@ -317,20 +401,23 @@ impl<'p> Lowerer<'p, '_> {
         let node = self.node_id(plan);
         match plan {
             PhysicalPlan::Scan { pattern, order, .. } => {
-                if pattern.vars().is_empty() {
+                let vars = pattern.vars();
+                let domains: Vec<(Var, SlotId)> = domains
+                    .iter()
+                    .copied()
+                    .filter(|(v, _)| vars.contains(v))
+                    .collect();
+                if vars.is_empty() || !domains.is_empty() {
                     // A fully ground pattern produces unit rows — nothing
-                    // to stream; materialise it like a breaker.
-                    let slot = self.push_breaker(
-                        node,
-                        BreakerOp::Scan {
-                            pattern,
-                            order: *order,
-                        },
-                    );
-                    Chain {
-                        source: SourceSpec::Slot(slot),
-                        stages: Vec::new(),
-                    }
+                    // to stream — and a SIP scan filters its whole output
+                    // against its domain slots: materialise either like a
+                    // breaker.
+                    let op = BreakerOp::Scan {
+                        pattern,
+                        order: *order,
+                        domains,
+                    };
+                    Self::slot_chain(self.push_breaker(node, op))
                 } else {
                     Chain {
                         source: SourceSpec::Scan {
@@ -343,15 +430,17 @@ impl<'p> Lowerer<'p, '_> {
                 }
             }
             PhysicalPlan::Filter { input, expr } => {
-                let mut chain = self.chain(input, false);
+                let mut chain = self.chain(input, false, domains);
                 chain.stages.push(StageSpec::Filter { node, expr });
                 chain
             }
             PhysicalPlan::HashJoin { left, right, vars } => {
                 // The build side is the breaker: seal it, then keep
-                // streaming the probe side through a probe stage.
-                let build = self.seal_subplan(right);
-                let mut chain = self.chain(left, false);
+                // streaming the probe side through a probe stage. With
+                // SIP, the sealed build side bounds the probe subtree.
+                let build = self.seal_subplan(right, domains);
+                let probe_domains = self.narrowed(domains, vars, build);
+                let mut chain = self.chain(left, false, &probe_domains);
                 chain.stages.push(StageSpec::Probe {
                     node,
                     build,
@@ -366,8 +455,16 @@ impl<'p> Lowerer<'p, '_> {
                 // `probe_range_outer` emits the UNBOUND sentinel per
                 // unmatched probe row, so per-morsel outputs still stitch
                 // deterministically.
-                let build = self.seal_subplan(right);
-                let mut chain = self.chain(left, false);
+                //
+                // No SIP narrowing across an outer join: narrowing the
+                // preserved side would drop rows that must survive, and
+                // narrowing the optional side would turn matched rows into
+                // UNBOUND-padded ones. The optional side lowers with no
+                // domains; the preserved side keeps the ambient ones (a
+                // row outside them can never survive the enclosing join
+                // that imposed them).
+                let build = self.seal_subplan(right, &[]);
+                let mut chain = self.chain(left, false, domains);
                 chain.stages.push(StageSpec::Probe {
                     node,
                     build,
@@ -377,43 +474,29 @@ impl<'p> Lowerer<'p, '_> {
                 chain
             }
             PhysicalPlan::MergeJoin { left, right, var } => {
-                let l = self.seal_subplan(left);
-                let r = self.seal_subplan(right);
-                let slot = self.push_breaker(
-                    node,
-                    BreakerOp::MergeJoin {
-                        left: l,
-                        right: r,
-                        var: *var,
-                    },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let l = self.seal_subplan(left, domains);
+                let right_domains = self.narrowed(domains, &[*var], l);
+                let r = self.seal_subplan(right, &right_domains);
+                let op = BreakerOp::MergeJoin {
+                    left: l,
+                    right: r,
+                    var: *var,
+                };
+                Self::slot_chain(self.push_breaker(node, op))
             }
             PhysicalPlan::CrossProduct { left, right } => {
-                let l = self.seal_subplan(left);
-                let r = self.seal_subplan(right);
-                let slot = self.push_breaker(node, BreakerOp::CrossProduct { left: l, right: r });
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let l = self.seal_subplan(left, domains);
+                let r = self.seal_subplan(right, domains);
+                let op = BreakerOp::CrossProduct { left: l, right: r };
+                Self::slot_chain(self.push_breaker(node, op))
             }
             PhysicalPlan::Sort { input, var } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
-                    node,
-                    BreakerOp::Sort {
-                        input: i,
-                        var: *var,
-                    },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, domains);
+                let op = BreakerOp::Sort {
+                    input: i,
+                    var: *var,
+                };
+                Self::slot_chain(self.push_breaker(node, op))
             }
             PhysicalPlan::Project {
                 input,
@@ -425,26 +508,20 @@ impl<'p> Lowerer<'p, '_> {
                     // must dedup globally *before* they see rows:
                     // materialise it. (Planned trees never produce this
                     // shape — DISTINCT sits at the top of its chain.)
-                    let i = self.seal_subplan(input);
-                    let slot = self.push_breaker(
-                        node,
-                        BreakerOp::Project {
-                            input: i,
-                            projection,
-                            distinct: true,
-                        },
-                    );
-                    Chain {
-                        source: SourceSpec::Slot(slot),
-                        stages: Vec::new(),
-                    }
+                    let i = self.seal_subplan(input, domains);
+                    let op = BreakerOp::Project {
+                        input: i,
+                        projection,
+                        distinct: true,
+                    };
+                    Self::slot_chain(self.push_breaker(node, op))
                 } else if *distinct {
                     // Streaming DISTINCT: narrow the layout and dedup each
                     // morsel locally; the sink finishes with one global
                     // first-occurrence pass. Order-preserving at both
                     // phases, so the output is byte-identical to the old
                     // materialising breaker.
-                    let mut chain = self.chain(input, false);
+                    let mut chain = self.chain(input, false, domains);
                     chain.stages.push(StageSpec::Distinct { node, projection });
                     chain
                 } else {
@@ -452,18 +529,14 @@ impl<'p> Lowerer<'p, '_> {
                     // fold it into the chain so the sink gathers only the
                     // projected columns and the pre-projection width is
                     // never materialised.
-                    let mut chain = self.chain(input, false);
+                    let mut chain = self.chain(input, false, domains);
                     chain.stages.push(StageSpec::Project { node, projection });
                     chain
                 }
             }
             PhysicalPlan::OrderBy { input, keys } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(node, BreakerOp::OrderBy { input: i, keys });
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, domains);
+                Self::slot_chain(self.push_breaker(node, BreakerOp::OrderBy { input: i, keys }))
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -471,47 +544,35 @@ impl<'p> Lowerer<'p, '_> {
                 aggs,
                 having,
             } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
-                    node,
-                    BreakerOp::HashAggregate {
-                        input: i,
-                        group_by,
-                        aggs,
-                        having: having.as_ref(),
-                    },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, domains);
+                let op = BreakerOp::HashAggregate {
+                    input: i,
+                    group_by,
+                    aggs,
+                    having: having.as_ref(),
+                };
+                Self::slot_chain(self.push_breaker(node, op))
             }
             PhysicalPlan::Slice {
                 input,
                 offset,
                 limit,
             } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
-                    node,
-                    BreakerOp::Slice {
-                        input: i,
-                        offset: *offset,
-                        limit: *limit,
-                    },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, domains);
+                let op = BreakerOp::Slice {
+                    input: i,
+                    offset: *offset,
+                    limit: *limit,
+                };
+                Self::slot_chain(self.push_breaker(node, op))
             }
         }
     }
 
-    fn seal_subplan(&mut self, plan: &'p PhysicalPlan) -> SlotId {
+    fn seal_subplan(&mut self, plan: &'p PhysicalPlan, domains: &Domains) -> SlotId {
         // A sealed sub-plan is the whole chain: nothing is appended above
         // it, so a DISTINCT at its top may stream (`last == true`).
-        let chain = self.chain(plan, true);
+        let chain = self.chain(plan, true, domains);
         self.seal(chain)
     }
 
@@ -526,7 +587,14 @@ impl<'p> Lowerer<'p, '_> {
                     node,
                     pattern,
                     order,
-                } => self.push_breaker(node, BreakerOp::Scan { pattern, order }),
+                } => self.push_breaker(
+                    node,
+                    BreakerOp::Scan {
+                        pattern,
+                        order,
+                        domains: Vec::new(),
+                    },
+                ),
             };
         }
         let out = self.new_slot();
@@ -553,6 +621,12 @@ impl Program<'_> {
     /// a pipeline's wall time is attributed to its topmost operator, its
     /// inner stages report 0ns since they never run in isolation).
     ///
+    /// `row_budget` caps every operator's output: a cross product whose
+    /// exact size exceeds it is refused before it runs, and after every
+    /// step each plan node the step produced is checked in the tree walk's
+    /// post-order — a trip is [`ExecError::BudgetExceeded`] with the
+    /// operator's label and full row count, exactly as the walk reports.
+    ///
     /// With a governor attached to `ctx`, every breaker step and every
     /// morsel claim is a cooperative checkpoint; an error drains every
     /// filled slot back through [`ExecContext::recycle`], so a cancelled
@@ -562,11 +636,12 @@ impl Program<'_> {
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
+        row_budget: Option<usize>,
     ) -> Result<(BindingTable, Profile), ExecError> {
         let mut slots: Vec<Option<BindingTable>> = (0..self.slot_count).map(|_| None).collect();
         let mut rows = vec![0usize; self.node_count];
         let mut nanos = vec![0u128; self.node_count];
-        if let Err(e) = self.run_steps(ds, ctx, &mut slots, &mut rows, &mut nanos) {
+        if let Err(e) = self.run_steps(ds, ctx, row_budget, &mut slots, &mut rows, &mut nanos) {
             for slot in slots.iter_mut() {
                 if let Some(t) = slot.take() {
                     ctx.recycle(t);
@@ -586,6 +661,7 @@ impl Program<'_> {
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
+        row_budget: Option<usize>,
         slots: &mut [Option<BindingTable>],
         rows: &mut [usize],
         nanos: &mut [u128],
@@ -593,61 +669,54 @@ impl Program<'_> {
         for step in &self.steps {
             match step {
                 Step::Breaker { node, out, op } => {
+                    // A Cartesian product's output size is known exactly
+                    // up front: refuse it *before* materialising when it
+                    // cannot fit the row budget or the memory budget.
+                    if let BreakerOp::CrossProduct { left, right } = op {
+                        let lt = slots[*left].as_ref().expect("input slot filled before use");
+                        let rt = slots[*right]
+                            .as_ref()
+                            .expect("input slot filled before use");
+                        let product = lt.len().saturating_mul(rt.len());
+                        if let Some(budget) = row_budget.filter(|&b| product > b) {
+                            return Err(self.budget_exceeded(*node, product, budget));
+                        }
+                        let bytes = product
+                            .saturating_mul(lt.vars().len() + rt.vars().len())
+                            .saturating_mul(std::mem::size_of::<TermId>());
+                        ctx.reserve_check(bytes, "crossproduct")?;
+                    }
                     let start = Instant::now();
                     let (table, consumed) = match ctx.governor() {
                         None => run_breaker(op, ds, ctx, slots)?,
-                        Some(gov) => {
-                            // A Cartesian product's output size is known
-                            // exactly up front: refuse it *before*
-                            // materialising when it cannot fit the budget.
-                            if let BreakerOp::CrossProduct { left, right } = op {
-                                let lt =
-                                    slots[*left].as_ref().expect("input slot filled before use");
-                                let rt = slots[*right]
-                                    .as_ref()
-                                    .expect("input slot filled before use");
-                                let bytes = lt
-                                    .len()
-                                    .saturating_mul(rt.len())
-                                    .saturating_mul(lt.vars().len() + rt.vars().len())
-                                    .saturating_mul(std::mem::size_of::<TermId>());
-                                gov.would_exceed(bytes, "crossproduct")?;
-                            }
-                            // The checkpoint runs inside the unwind guard:
-                            // an injected `panic@breaker` fault takes the
-                            // same recovery path as a real kernel panic.
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                gov.check("breaker")?;
-                                run_breaker(op, ds, ctx, slots)
-                            })) {
-                                Ok(Ok(x)) => x,
-                                Ok(Err(e)) => return Err(e),
-                                Err(_) => return Err(gov.note_panic("breaker").into()),
-                            }
-                        }
+                        // The checkpoint runs inside the unwind guard: an
+                        // injected `panic@breaker` fault takes the same
+                        // recovery path as a real kernel panic.
+                        Some(gov) => match catch_unwind(AssertUnwindSafe(|| {
+                            gov.check("breaker")?;
+                            run_breaker(op, ds, ctx, slots)
+                        })) {
+                            Ok(Ok(x)) => x,
+                            Ok(Err(e)) => return Err(e),
+                            Err(_) => return Err(gov.note_panic("breaker").into()),
+                        },
                     };
                     nanos[*node] = start.elapsed().as_nanos();
                     rows[*node] = table.len();
+                    for t in consumed {
+                        ctx.recycle(t);
+                    }
                     // A kernel that bailed out early on `governor_poll`
                     // (the cross product) returned an empty placeholder
                     // table: surface the trip instead of storing it and
                     // drop the placeholder (its columns never came from
                     // the pool, and it was never charged).
                     if let Some(e) = ctx.governor().and_then(QueryGovernor::trip_error) {
-                        for t in consumed {
-                            ctx.recycle(t);
-                        }
                         drop(table);
                         return Err(e.into());
                     }
-                    for t in consumed {
-                        ctx.recycle(t);
-                    }
-                    if let Err(e) = ctx.charge_table(&table, "breaker") {
-                        ctx.recycle(table);
-                        return Err(e.into());
-                    }
-                    slots[*out] = Some(table);
+                    slots[*out] =
+                        Some(self.admit(ctx, table, [*node], rows, row_budget, "breaker")?);
                 }
                 Step::Pipeline(p) => {
                     // Single-consumer breaker hand-off: the source table
@@ -657,36 +726,81 @@ impl Program<'_> {
                     if handed_off {
                         ctx.note_handoff();
                     }
-                    run_pipeline(p, ds, ctx, slots, rows, nanos, handed_off)?;
+                    let table = run_pipeline(p, ds, ctx, slots, rows, nanos, handed_off)?;
+                    slots[p.out] =
+                        Some(self.admit(ctx, table, p.nodes(), rows, row_budget, "sink")?);
                 }
             }
         }
         Ok(())
     }
 
+    /// Admit a step's freshly materialised output: check every plan node
+    /// the step produced against the row budget, in the tree walk's
+    /// post-order (so a trip names the operator the walk would), then
+    /// charge the table against the memory budget.
+    fn admit(
+        &self,
+        ctx: &ExecContext,
+        table: BindingTable,
+        nodes: impl IntoIterator<Item = NodeId>,
+        rows: &[usize],
+        row_budget: Option<usize>,
+        site: &'static str,
+    ) -> Result<BindingTable, ExecError> {
+        if let Some(budget) = row_budget {
+            if let Some(node) = nodes.into_iter().find(|&n| rows[n] > budget) {
+                // Not yet charged against the memory budget: plain pool
+                // recycle.
+                ctx.pool.recycle(table);
+                return Err(self.budget_exceeded(node, rows[node], budget));
+            }
+        }
+        if let Err(e) = ctx.charge_table(&table, site) {
+            // `charge` counts the bytes even when it trips: release them.
+            ctx.recycle(table);
+            return Err(e.into());
+        }
+        Ok(table)
+    }
+
+    /// The row-budget error for plan node `node`.
+    fn budget_exceeded(&self, node: NodeId, rows: usize, budget: usize) -> ExecError {
+        let mut operator = String::new();
+        let mut id = 0;
+        self.plan.visit(&mut |p| {
+            if id == node {
+                operator = self.label(p, id);
+            }
+            id += 1;
+        });
+        ExecError::BudgetExceeded {
+            operator,
+            rows,
+            budget,
+        }
+    }
+
+    /// The profile label of plan node `id` — the tree walk's label, plus
+    /// `+sip` on a scan narrowed by sideways information passing.
+    fn label(&self, plan: &PhysicalPlan, id: NodeId) -> String {
+        let mut label = plan_label(plan);
+        if self.sip_scans.contains(&id) {
+            label.push_str("+sip");
+        }
+        label
+    }
+
     fn build_profile(&self, plan: &PhysicalPlan, rows: &[usize], nanos: &[u128]) -> Profile {
         let id = self.ids[&(plan as *const PhysicalPlan)];
-        let children = match plan {
-            PhysicalPlan::Scan { .. } => Vec::new(),
-            PhysicalPlan::MergeJoin { left, right, .. }
-            | PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right } => vec![
-                self.build_profile(left, rows, nanos),
-                self.build_profile(right, rows, nanos),
-            ],
-            PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::OrderBy { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Slice { input, .. } => vec![self.build_profile(input, rows, nanos)],
-        };
         Profile {
-            label: plan_label(plan),
+            label: self.label(plan, id),
             output_rows: rows[id],
             nanos: nanos[id],
-            children,
+            children: plan
+                .children()
+                .map(|child| self.build_profile(child, rows, nanos))
+                .collect(),
         }
     }
 
@@ -716,7 +830,21 @@ impl Program<'_> {
             match step {
                 Step::Breaker { out: slot, op, .. } => {
                     let desc = match op {
-                        BreakerOp::Scan { pattern, order } => scan_desc(pattern, *order),
+                        BreakerOp::Scan {
+                            pattern,
+                            order,
+                            domains,
+                        } => {
+                            let mut desc = scan_desc(pattern, *order);
+                            if !domains.is_empty() {
+                                let bounds: Vec<String> = domains
+                                    .iter()
+                                    .map(|&(v, s)| format!("?{}∈s{s}", query.var_name(v)))
+                                    .collect();
+                                let _ = write!(desc, " +sip({})", bounds.join(", "));
+                            }
+                            desc
+                        }
                         BreakerOp::MergeJoin { left, right, var } => {
                             format!("⋈mj ?{} (s{left}, s{right})", query.var_name(*var))
                         }
@@ -834,7 +962,30 @@ fn run_breaker(
         slots[slot].take().expect("input slot filled before use")
     };
     Ok(match op {
-        BreakerOp::Scan { pattern, order } => (ops::scan_in(ctx, ds, pattern, *order), Vec::new()),
+        BreakerOp::Scan {
+            pattern,
+            order,
+            domains,
+        } => {
+            let table = ops::scan_in(ctx, ds, pattern, *order);
+            if domains.is_empty() {
+                (table, Vec::new())
+            } else {
+                let columns: Vec<(Var, &[TermId])> = domains
+                    .iter()
+                    .map(|&(v, slot)| {
+                        // invariant: a domain slot is sealed before the
+                        // subtree it narrows and consumed after it.
+                        let t = slots[slot].as_ref().expect("domain slot filled");
+                        (v, t.column(v))
+                    })
+                    .collect();
+                let filtered = ops::domain_filter_in(ctx, &table, &columns);
+                // Plain pool recycle: the unfiltered scan was never charged.
+                ctx.pool.recycle(table);
+                (filtered, Vec::new())
+            }
+        }
         BreakerOp::MergeJoin { left, right, var } => {
             let (l, r) = (take(*left), take(*right));
             (ops::merge_join_in(ctx, &l, &r, *var), vec![l, r])
@@ -936,10 +1087,9 @@ enum ColRef<'a> {
     },
 }
 
-/// One prepared (executable) pipeline stage.
+/// One prepared (executable) pipeline stage, in [`StageSpec`] order.
 enum PreparedStage<'a> {
     Filter {
-        node: NodeId,
         expr: &'a FilterExpr,
         /// The variables the expression reads, resolved against the
         /// pipeline layout — gathered into scratch columns per morsel so
@@ -948,7 +1098,6 @@ enum PreparedStage<'a> {
         used: Vec<(Var, ColRef<'a>)>,
     },
     Probe {
-        node: NodeId,
         table: BuildTable,
         build_cols: Vec<&'a [TermId]>,
         key_refs: Vec<ColRef<'a>>,
@@ -961,13 +1110,12 @@ enum PreparedStage<'a> {
     },
     /// Plain projection: the layout change happened at prepare time; at
     /// run time the stage only reports its (unchanged) cardinality.
-    Project { node: NodeId },
+    Project,
     /// Streaming DISTINCT: the layout narrowed at prepare time (like
     /// `Project`); per morsel the narrowed columns are gathered and
     /// locally deduplicated (first occurrence wins). The cross-morsel
     /// pass runs once at the sink, over the gathered output.
     Distinct {
-        node: NodeId,
         /// The narrowed layout's column references, in output order —
         /// what the local dedup keys on.
         refs: Vec<ColRef<'a>>,
@@ -1142,9 +1290,10 @@ enum SinkRef {
 
 /// Execute one pipeline: prepare (resolve the source, build the probe hash
 /// tables — the breaker work), push morsels through the stage chain, gather
-/// once at the sink, recycle the consumed inputs. A `handed_off` source
-/// table (a single-consumer breaker's output) may have its columns *moved*
-/// into the sink when no stage dropped a row.
+/// once at the sink, recycle the consumed inputs, and return the sink's
+/// (not yet charged) output. A `handed_off` source table (a
+/// single-consumer breaker's output) may have its columns *moved* into the
+/// sink when no stage dropped a row.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline(
     p: &Pipeline<'_>,
@@ -1154,7 +1303,7 @@ fn run_pipeline(
     rows_by_node: &mut [usize],
     nanos_by_node: &mut [u128],
     handed_off: bool,
-) -> Result<(), ExecError> {
+) -> Result<BindingTable, ExecError> {
     let start = Instant::now();
 
     // Take the pipeline's inputs out of their slots (they stay alive —
@@ -1348,14 +1497,8 @@ fn run_pipeline(
     if let Some(node) = prepared.scan_source {
         rows_by_node[node] = counts[0];
     }
-    for (stage, &n) in prepared.stages.iter().zip(&counts[1..]) {
-        let node = match stage {
-            PreparedStage::Filter { node, .. }
-            | PreparedStage::Probe { node, .. }
-            | PreparedStage::Project { node }
-            | PreparedStage::Distinct { node, .. } => *node,
-        };
-        rows_by_node[node] = n;
+    for (stage, &n) in p.stages.iter().zip(&counts[1..]) {
+        rows_by_node[stage.node()] = n;
     }
 
     // The rows the oracle would have materialised between operators but
@@ -1378,17 +1521,9 @@ fn run_pipeline(
 
     // The topmost operator of the pipeline owns its wall time (inner
     // stages never run in isolation, so they report 0).
-    let top_node = match prepared.stages.last() {
-        Some(
-            PreparedStage::Filter { node, .. }
-            | PreparedStage::Probe { node, .. }
-            | PreparedStage::Project { node }
-            | PreparedStage::Distinct { node, .. },
-        ) => *node,
-        // invariant: `lower` never emits a stage-less pipeline — a bare
-        // scan still carries its sink projection stage.
-        None => unreachable!("pipelines have at least one stage"),
-    };
+    // invariant: `lower` never emits a stage-less pipeline — a bare scan
+    // still carries its sink projection stage.
+    let top_node = p.stages.last().expect("pipelines have a stage").node();
 
     // Strip the layout of its borrows so the prepared stages (which borrow
     // the input tables) can drop before the sink consumes those tables.
@@ -1413,8 +1548,8 @@ fn run_pipeline(
         })
         .collect();
     let sorted = prepared.sorted;
-    let distinct_node = prepared.stages.iter().find_map(|s| match s {
-        PreparedStage::Distinct { node, .. } => Some(*node),
+    let distinct_node = p.stages.iter().find_map(|s| match s {
+        StageSpec::Distinct { node, .. } => Some(*node),
         _ => None,
     });
     drop(prepared);
@@ -1535,12 +1670,7 @@ fn run_pipeline(
     for t in build_tables {
         ctx.recycle(t);
     }
-    if let Err(e) = ctx.charge_table(&table, "sink") {
-        ctx.pool.recycle(table);
-        return Err(e.into());
-    }
-    slots[p.out] = Some(table);
-    Ok(())
+    Ok(table)
 }
 
 /// Resolve a scan source's relation range exactly like `ops::scan_in`: a
@@ -1647,7 +1777,7 @@ fn prepare<'a>(
     let mut builds = build_tables.iter();
     for stage in &p.stages {
         match stage {
-            StageSpec::Filter { node, expr } => {
+            StageSpec::Filter { expr, .. } => {
                 let used: Vec<(Var, ColRef<'a>)> = expr
                     .vars()
                     .into_iter()
@@ -1658,15 +1788,9 @@ fn prepare<'a>(
                             .map(|&(_, r)| (v, r))
                     })
                     .collect();
-                stages.push(PreparedStage::Filter {
-                    node: *node,
-                    expr,
-                    used,
-                });
+                stages.push(PreparedStage::Filter { expr, used });
             }
-            StageSpec::Probe {
-                node, vars, outer, ..
-            } => {
+            StageSpec::Probe { vars, outer, .. } => {
                 // invariant: `run_pipeline` collects exactly one build
                 // table per probe stage, in stage order.
                 let bt = builds.next().expect("one build table per probe stage");
@@ -1708,7 +1832,6 @@ fn prepare<'a>(
                     }
                 }
                 stages.push(PreparedStage::Probe {
-                    node: *node,
                     table,
                     build_cols,
                     key_refs,
@@ -1722,22 +1845,22 @@ fn prepare<'a>(
                     sorted = None;
                 }
             }
-            StageSpec::Project { node, projection } => {
+            StageSpec::Project { projection, .. } => {
                 // The projection happens entirely at prepare time: the
                 // layout narrows to the projected variables (first
                 // occurrence wins for duplicated names, like
                 // `ops::project_in`), and the sink gathers only those.
                 layout = narrow_layout(&layout, projection);
                 sorted = sorted.filter(|v| layout.iter().any(|&(lv, _)| lv == *v));
-                stages.push(PreparedStage::Project { node: *node });
+                stages.push(PreparedStage::Project);
             }
-            StageSpec::Distinct { node, projection } => {
+            StageSpec::Distinct { projection, .. } => {
                 // Same prepare-time narrowing as `Project`; the run-time
                 // stage dedups each morsel over exactly these columns.
                 layout = narrow_layout(&layout, projection);
                 sorted = sorted.filter(|v| layout.iter().any(|&(lv, _)| lv == *v));
                 let refs: Vec<ColRef<'a>> = layout.iter().map(|&(_, r)| r).collect();
-                stages.push(PreparedStage::Distinct { node: *node, refs });
+                stages.push(PreparedStage::Distinct { refs });
             }
         }
     }
@@ -1925,7 +2048,7 @@ fn process_morsel(
                 scratch.put_idx(keep);
                 sides.push(matched);
             }
-            PreparedStage::Project { .. } => {
+            PreparedStage::Project => {
                 // Pure layout change: no row dropped, no side touched —
                 // the stage only reports its (unchanged) cardinality.
             }
@@ -2018,7 +2141,7 @@ fn apply_keep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_in, ExecConfig, ExecStrategy};
+    use crate::exec::{execute, execute_in, ExecConfig, ExecError, ExecStrategy};
     use crate::morsel::MorselConfig;
     use hsp_rdf::Term;
     use hsp_sparql::{CmpOp, Operand, TermOrVar};
@@ -2086,7 +2209,7 @@ mod tests {
     #[test]
     fn lowering_splits_chain_into_one_pipeline_and_builds() {
         let plan = chain_plan();
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         // Two build-side scans materialise; the probe chain is one pipeline.
         assert_eq!(program.pipeline_count(), 1);
         assert_eq!(program.steps.len(), 3);
@@ -2171,7 +2294,7 @@ mod tests {
         assert_eq!(out.table, oracle.table);
         // No streaming chain here: everything materialises at breakers.
         assert_eq!(out.runtime.pipelines, 0);
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         assert_eq!(program.pipeline_count(), 0);
     }
 
@@ -2184,7 +2307,7 @@ mod tests {
             projection: vec![("o".into(), Var(1))],
             distinct: true,
         };
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         // Streams: one pipeline, no breaker at all.
         assert_eq!(program.pipeline_count(), 1);
         assert_eq!(program.steps.len(), 1);
@@ -2216,7 +2339,7 @@ mod tests {
             offset: 0,
             limit: Some(1),
         };
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         assert_eq!(program.pipeline_count(), 1);
         let oracle = execute(
             &plan,
@@ -2379,7 +2502,7 @@ mod tests {
             projection: vec![("a".into(), Var(0)), ("y".into(), Var(2))],
             distinct: false,
         };
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         assert_eq!(program.pipeline_count(), 1);
         assert!(
             !program.steps.iter().any(|s| matches!(
@@ -2512,11 +2635,56 @@ mod tests {
             "SELECT ?a WHERE { ?a <http://e/p> ?b . ?a <http://e/q> ?c . ?b <http://e/r> ?d . }",
         )
         .unwrap();
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         let dag = program.render(&query);
         assert!(dag.contains("⟕hj"), "{dag}");
         assert!(dag.contains("→ π ?a,?d"), "{dag}");
         assert!(dag.contains("[handoff]"), "{dag}");
+    }
+
+    #[test]
+    fn sip_lowers_narrowed_scans_as_breakers() {
+        let ds = dataset();
+        let plan = chain_plan();
+        let query = hsp_sparql::JoinQuery::parse(
+            "SELECT ?a WHERE { ?a <http://e/p> ?b . ?a <http://e/q> ?c . ?b <http://e/r> ?d . }",
+        )
+        .unwrap();
+        // The outer build (r-scan, s0) bounds ?b below it; the inner build
+        // (q-scan, s1, which binds no ?b) bounds ?a: the probe-source
+        // p-scan binds both, so it becomes a breaker reading both slots.
+        let program = lower(&plan, true);
+        assert_eq!(program.sip_scans, vec![3]);
+        let dag = program.render(&query);
+        assert!(dag.contains("+sip(?b∈s0, ?a∈s1)"), "{dag}");
+        let plain = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
+        for threads in 1..=4 {
+            let sip = execute(
+                &plan,
+                &ds,
+                &ExecConfig::unlimited().with_sip().with_threads(threads),
+            )
+            .unwrap();
+            assert_eq!(sip.table, plain.table, "threads={threads}");
+            let mut labels = Vec::new();
+            sip.profile.visit(&mut |p| labels.push(p.label.clone()));
+            assert!(
+                labels.contains(&"scan(pso) [tp0]+sip".to_string()),
+                "{labels:?}"
+            );
+        }
+        // The budget counts a SIP scan's filtered rows: at budget 2 the
+        // plain p-scan (3 rows) trips, the SIP one (2 rows) passes.
+        let budget = ExecConfig::with_row_budget(2);
+        let err = execute(&plan, &ds, &budget).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::BudgetExceeded { operator, rows: 3, .. } if operator == "scan(pso) [tp0]"),
+            "{err}"
+        );
+        assert_eq!(
+            execute(&plan, &ds, &budget.with_sip()).unwrap().table,
+            plain.table
+        );
     }
 
     #[test]
@@ -2526,7 +2694,7 @@ mod tests {
             "SELECT ?a WHERE { ?a <http://e/p> ?b . ?a <http://e/q> ?c . ?b <http://e/r> ?d . }",
         )
         .unwrap();
-        let program = lower(&plan);
+        let program = lower(&plan, false);
         let dag = program.render(&query);
         assert!(dag.contains("pipeline DAG"), "{dag}");
         assert!(dag.contains("← pipeline:"), "{dag}");

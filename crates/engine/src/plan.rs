@@ -388,24 +388,30 @@ impl PhysicalPlan {
         }
     }
 
-    /// Walk the tree depth-first (pre-order), calling `f` on every node.
-    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
-        f(self);
-        match self {
-            PhysicalPlan::Scan { .. } => {}
+    /// The node's inputs: none for a scan, `left` then `right` for the
+    /// binary operators, `input` for the unary ones.
+    pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::Scan { .. } => (None, None),
             PhysicalPlan::MergeJoin { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right } => {
-                left.visit(f);
-                right.visit(f);
-            }
+            | PhysicalPlan::CrossProduct { left, right } => (Some(left), Some(right)),
             PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::OrderBy { input, .. }
-            | PhysicalPlan::Slice { input, .. } => input.visit(f),
+            | PhysicalPlan::Slice { input, .. } => (Some(input), None),
+        };
+        first.into_iter().chain(second).map(|child| &**child)
+    }
+
+    /// Walk the tree depth-first (pre-order), calling `f` on every node.
+    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
+        f(self);
+        for child in self.children() {
+            child.visit(f);
         }
     }
 

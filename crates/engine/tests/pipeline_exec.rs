@@ -8,8 +8,8 @@
 //! workers), and the per-operator [`Profile`] cardinalities must agree
 //! row for row.
 
-use hsp_engine::exec::{execute_in, ExecConfig, ExecStrategy};
-use hsp_engine::{BindingTable, ExecContext, MorselConfig, PhysicalPlan};
+use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
+use hsp_engine::{BindingTable, ExecContext, MorselConfig, PhysicalPlan, QueryGovernor};
 use hsp_rdf::Term;
 use hsp_sparql::{CmpOp, FilterExpr, Operand, TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order};
@@ -440,4 +440,103 @@ fn empty_filter_result_metadata_matches() {
     assert!(out.table.is_empty());
     assert_eq!(out.table, oracle.table);
     let _: &BindingTable = &out.table;
+}
+
+/// Twelve articles, each citing three others, ten of them with a year:
+/// 36 `cites` rows, 10 `year` rows, 108 two-hop citation paths.
+fn budget_doc() -> String {
+    let mut doc = String::new();
+    for a in 0..12u32 {
+        for step in [1u32, 3, 7] {
+            doc.push_str(&format!(
+                "<http://e/art{a}> <http://e/cites> <http://e/art{}> .\n",
+                (a + step) % 12
+            ));
+        }
+    }
+    for a in 0..10u32 {
+        doc.push_str(&format!(
+            "<http://e/art{a}> <http://e/year> \"{}\" .\n",
+            1990 + a
+        ));
+    }
+    doc
+}
+
+/// The row budget runs in the pipelines: tripping on a streamed probe
+/// stage, on a cross product (before materialising it), on a pipeline's
+/// scan source and on a breaker scan, the pipelines report exactly the
+/// oracle's `BudgetExceeded` — pinned from the tree walk — at forced
+/// threads 1–4, governed or not, and leave the pool balanced and the
+/// memory account at zero.
+#[test]
+fn row_budget_trips_identically_in_pipelines_and_oracle() {
+    let ds = Dataset::from_ntriples(&budget_doc()).unwrap();
+    let two_hop = PhysicalPlan::Filter {
+        input: Box::new(PhysicalPlan::HashJoin {
+            left: Box::new(scan(0, vv(0), cv("cites"), vv(1), Order::Pso)),
+            right: Box::new(scan(1, vv(1), cv("cites"), vv(2), Order::Pso)),
+            vars: vec![Var(1)],
+        }),
+        expr: FilterExpr::Cmp {
+            op: CmpOp::Ne,
+            lhs: Operand::Var(Var(0)),
+            rhs: Operand::Var(Var(2)),
+        },
+    };
+    let cross = PhysicalPlan::CrossProduct {
+        left: Box::new(scan(0, vv(0), cv("cites"), vv(1), Order::Pso)),
+        right: Box::new(scan(1, vv(2), cv("year"), vv(3), Order::Pso)),
+    };
+    let dated = PhysicalPlan::HashJoin {
+        left: Box::new(scan(0, vv(0), cv("cites"), vv(1), Order::Pso)),
+        right: Box::new(scan(1, vv(1), cv("year"), vv(2), Order::Pso)),
+        vars: vec![Var(1)],
+    };
+    // (plan, budget, operator, rows) — the tree walk's errors.
+    let cases = [
+        (&two_hop, 36, "hashjoin(?v1)", 108),
+        (&cross, 36, "crossproduct", 360),
+        (&dated, 20, "scan(pso) [tp0]", 36),
+        (&dated, 5, "scan(pso) [tp1]", 10),
+    ];
+    // The first case's trip is inside a pipeline, not at a breaker.
+    assert_eq!(
+        hsp_engine::pipeline::lower(&two_hop, false).pipeline_count(),
+        1
+    );
+    for (plan, budget, operator, rows) in cases {
+        let want = ExecError::BudgetExceeded {
+            operator: operator.into(),
+            rows,
+            budget,
+        };
+        for strategy in [ExecStrategy::Auto, ExecStrategy::OperatorAtATime] {
+            for threads in 1..=4usize {
+                for governed in [false, true] {
+                    let config = ExecConfig::with_row_budget(budget).with_strategy(strategy);
+                    let mut ctx = ExecContext::with_morsel_config(
+                        MorselConfig::with_threads(threads)
+                            .with_morsel_rows(4)
+                            .with_min_parallel_rows(0),
+                    );
+                    if governed {
+                        ctx.set_governor(Some(QueryGovernor::new().with_mem_budget(usize::MAX)));
+                    }
+                    let got = execute_in(plan, &ds, &config, &ctx).unwrap_err();
+                    let at = format!("{strategy:?} threads={threads} governed={governed}");
+                    assert_eq!(got, want, "{at}");
+                    let stats = ctx.pool.stats();
+                    assert_eq!(
+                        stats.hits + stats.misses,
+                        stats.returned,
+                        "{at}: pool imbalance {stats:?}"
+                    );
+                    if let Some(gov) = ctx.governor() {
+                        assert_eq!(gov.mem_used(), 0, "{at}: leaked memory accounting");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -56,12 +56,12 @@ proptest! {
     fn joins_agree_with_reference(left in arb_table(1), right in arb_table(2)) {
         let reference = reference_join(&left, &right);
 
-        let mj = ops::merge_join(&left, &right, Var(0));
+        let mj = ops::merge_join_in(&ExecContext::new(), &left, &right, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference.clone());
         prop_assert!(mj.check_sortedness());
         prop_assert_eq!(mj.sorted_by(), Some(Var(0)));
 
-        let hj = ops::hash_join(&left, &right, &[Var(0)]);
+        let hj = ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]);
         prop_assert_eq!(hj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference);
     }
 
@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn outer_join_semantics(left in arb_table(1), right in arb_table(2)) {
         let inner = reference_join(&left, &right);
-        let outer = ops::left_outer_hash_join(&left, &right, &[Var(0)]);
+        let outer = ops::left_outer_hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]);
         let matched_left: std::collections::HashSet<TermId> =
             inner.iter().map(|r| r[0]).collect();
         let unmatched = (0..left.len())
@@ -87,7 +87,7 @@ proptest! {
     /// Union has the right length, variables, and padding.
     #[test]
     fn union_all_properties(a in arb_table(1), b in arb_table(2)) {
-        let u = ops::union_all(&a, &b);
+        let u = ops::union_all_in(&ExecContext::new(), &a, &b);
         prop_assert_eq!(u.len(), a.len() + b.len());
         prop_assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         for i in 0..a.len() {
@@ -107,14 +107,14 @@ proptest! {
             vec![rows_b.iter().map(|&v| TermId(500 + v)).collect()],
             None,
         );
-        let x = ops::cross_product(&a, &b);
+        let x = ops::cross_product_in(&ExecContext::new(), &a, &b);
         prop_assert_eq!(x.len(), a.len() * b.len());
     }
 
     /// Projection with distinct yields the set of projected rows.
     #[test]
     fn project_distinct_is_a_set(a in arb_table(1)) {
-        let p = ops::project(&a, &[("k".into(), Var(0))], true);
+        let p = ops::project_in(&ExecContext::new(), &a, &[("k".into(), Var(0))], true);
         let mut expected: Vec<TermId> = a.column(Var(0)).to_vec();
         expected.sort();
         expected.dedup();
@@ -126,8 +126,8 @@ proptest! {
     /// `slice(0, k)` ++ `slice(k, ∞)` partition the input exactly.
     #[test]
     fn slice_partitions_input(table in arb_table(1), k in 0usize..50) {
-        let head = ops::slice(&table, 0, Some(k));
-        let tail = ops::slice(&table, k, None);
+        let head = ops::slice_in(&ExecContext::new(), &table, 0, Some(k));
+        let tail = ops::slice_in(&ExecContext::new(), &table, k, None);
         prop_assert_eq!(head.len() + tail.len(), table.len());
         let mut rows = Vec::new();
         for i in 0..head.len() {
@@ -154,7 +154,7 @@ proptest! {
         let ds = hsp_store::Dataset::from_ntriples(&doc).unwrap();
 
         let keys = vec![SortKey { expr: Expr::Var(Var(1)), descending }];
-        let sorted = ops::order_by(&ds, &table, &keys);
+        let sorted = ops::order_by_in(&ExecContext::new(), &ds, &table, &keys);
         prop_assert_eq!(sorted.len(), table.len());
         // Permutation: same multiset of rows.
         prop_assert_eq!(sorted.sorted_rows(), table.sorted_rows());
@@ -176,20 +176,20 @@ proptest! {
     /// random input (bit-identical sorted row-sets and metadata).
     #[test]
     fn vectorized_kernels_match_rowwise_kernels(left in arb_table(1), right in arb_table(2)) {
-        let hj_new = ops::hash_join(&left, &right, &[Var(0)]);
+        let hj_new = ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]);
         let hj_old = reference::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(hj_new.vars(), hj_old.vars());
         prop_assert_eq!(hj_new.sorted_rows(), hj_old.sorted_rows());
         prop_assert_eq!(hj_new.sorted_by(), hj_old.sorted_by());
 
-        let mj_new = ops::merge_join(&left, &right, Var(0));
+        let mj_new = ops::merge_join_in(&ExecContext::new(), &left, &right, Var(0));
         let mj_old = reference::merge_join(&left, &right, Var(0));
         prop_assert_eq!(mj_new.sorted_rows(), mj_old.sorted_rows());
         prop_assert_eq!(mj_new.sorted_by(), mj_old.sorted_by());
 
-        let cp_l = ops::project(&left, &[("p".into(), Var(1))], false);
-        let cp_r = ops::project(&right, &[("q".into(), Var(2))], false);
-        let cp_new = ops::cross_product(&cp_l, &cp_r);
+        let cp_l = ops::project_in(&ExecContext::new(), &left, &[("p".into(), Var(1))], false);
+        let cp_r = ops::project_in(&ExecContext::new(), &right, &[("q".into(), Var(2))], false);
+        let cp_new = ops::cross_product_in(&ExecContext::new(), &cp_l, &cp_r);
         let cp_old = reference::cross_product(&cp_l, &cp_r);
         prop_assert_eq!(cp_new.sorted_rows(), cp_old.sorted_rows());
     }
@@ -200,13 +200,10 @@ proptest! {
         table in arb_table(1),
         allowed in proptest::collection::hash_set(0u32..8, 0..8),
     ) {
-        use std::collections::HashMap;
-        use std::rc::Rc;
         let set: std::collections::HashSet<TermId> =
             allowed.iter().map(|&k| TermId(k)).collect();
-        let mut domains = HashMap::new();
-        domains.insert(Var(0), Rc::new(set.clone()));
-        let filtered = ops::domain_filter(&table, &domains);
+        let domain: Vec<TermId> = set.iter().copied().collect();
+        let filtered = ops::domain_filter_in(&ExecContext::new(), &table, &[(Var(0), &domain)]);
         let expected: Vec<Vec<TermId>> = (0..table.len())
             .filter(|&i| set.contains(&table.value(Var(0), i)))
             .map(|i| table.row(i))
@@ -271,19 +268,19 @@ proptest! {
         let oracle = reference::nested_loop_join_rows(&left, &right);
         let out_vars = [Var(0), Var(1), Var(5), Var(6)];
 
-        let one_key = ops::hash_join(&left, &right, &[Var(0)]);
+        let one_key = ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]);
         prop_assert_eq!(one_key.sorted_rows_for(&out_vars), oracle.clone());
 
-        let packed_two = ops::hash_join(&left, &right, &[Var(0), Var(1)]);
+        let packed_two = ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0), Var(1)]);
         prop_assert_eq!(packed_two.sorted_rows_for(&out_vars), oracle.clone());
 
         let rowwise = reference::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(one_key.sorted_rows(), rowwise.sorted_rows());
 
         // Sorting both sides turns the same join into a merge join.
-        let ls = ops::sort_by(&left, Var(0));
-        let rs = ops::sort_by(&right, Var(0));
-        let mj = ops::merge_join(&ls, &rs, Var(0));
+        let ls = ops::sort_by_in(&ExecContext::new(), &left, Var(0));
+        let rs = ops::sort_by_in(&ExecContext::new(), &right, Var(0));
+        let mj = ops::merge_join_in(&ExecContext::new(), &ls, &rs, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&out_vars), oracle);
         prop_assert!(mj.check_sortedness());
     }
@@ -295,7 +292,7 @@ proptest! {
         right in arb_wide_table(6),
     ) {
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
+        let wide = ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0), Var(1), Var(2)]);
         prop_assert_eq!(wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]), oracle);
     }
 
@@ -307,7 +304,7 @@ proptest! {
         right in arb_shared_table(6),
     ) {
         let inner = reference::nested_loop_join_rows(&left, &right);
-        let outer = ops::left_outer_hash_join(&left, &right, &[Var(0)]);
+        let outer = ops::left_outer_hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]);
         let matched: std::collections::HashSet<(TermId, TermId, TermId)> = inner
             .iter()
             .map(|r| (r[0], r[1], r[2]))
@@ -337,19 +334,19 @@ proptest! {
         offset in 0usize..5,
     ) {
         let unit = BindingTable::unit(unit_rows);
-        let x = ops::cross_product(&unit, &table);
+        let x = ops::cross_product_in(&ExecContext::new(), &unit, &table);
         prop_assert_eq!(x.len(), unit_rows * table.len());
         prop_assert_eq!(x.vars(), table.vars());
 
-        let both = ops::cross_product(&unit, &BindingTable::unit(3));
+        let both = ops::cross_product_in(&ExecContext::new(), &unit, &BindingTable::unit(3));
         prop_assert_eq!(both.len(), unit_rows * 3);
         prop_assert!(both.vars().is_empty());
 
-        let sliced = ops::slice(&unit, offset, Some(2));
+        let sliced = ops::slice_in(&ExecContext::new(), &unit, offset, Some(2));
         prop_assert_eq!(sliced.len(), unit_rows.saturating_sub(offset).min(2));
         prop_assert!(sliced.vars().is_empty());
 
-        let ask = ops::project(&table, &[], true);
+        let ask = ops::project_in(&ExecContext::new(), &table, &[], true);
         prop_assert_eq!(ask.len(), table.len().min(1));
     }
 
@@ -370,25 +367,25 @@ proptest! {
         );
         for _pass in 0..2 {
             let hj = ops::hash_join_in(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&hj, &ops::hash_join(&left, &right, &[Var(0)]));
+            prop_assert_eq!(&hj, &ops::hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]));
 
             let oj = ops::left_outer_hash_join_in(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&oj, &ops::left_outer_hash_join(&left, &right, &[Var(0)]));
+            prop_assert_eq!(&oj, &ops::left_outer_hash_join_in(&ExecContext::new(), &left, &right, &[Var(0)]));
 
             let mj = ops::merge_join_in(&ctx, &left, &right, Var(0));
-            prop_assert_eq!(&mj, &ops::merge_join(&left, &right, Var(0)));
+            prop_assert_eq!(&mj, &ops::merge_join_in(&ExecContext::new(), &left, &right, Var(0)));
 
             let sorted = ops::sort_by_in(&ctx, &hj, Var(1));
-            prop_assert_eq!(&sorted, &ops::sort_by(&hj, Var(1)));
+            prop_assert_eq!(&sorted, &ops::sort_by_in(&ExecContext::new(), &hj, Var(1)));
 
             let proj = ops::project_in(&ctx, &hj, &[("k".into(), Var(0))], true);
-            prop_assert_eq!(&proj, &ops::project(&hj, &[("k".into(), Var(0))], true));
+            prop_assert_eq!(&proj, &ops::project_in(&ExecContext::new(), &hj, &[("k".into(), Var(0))], true));
 
             let sliced = ops::slice_in(&ctx, &hj, 1, Some(5));
-            prop_assert_eq!(&sliced, &ops::slice(&hj, 1, Some(5)));
+            prop_assert_eq!(&sliced, &ops::slice_in(&ExecContext::new(), &hj, 1, Some(5)));
 
             let unioned = ops::union_all_in(&ctx, &left, &right);
-            prop_assert_eq!(&unioned, &ops::union_all(&left, &right));
+            prop_assert_eq!(&unioned, &ops::union_all_in(&ExecContext::new(), &left, &right));
 
             // Recycle this pass's intermediates so the second pass runs on
             // warm buffers (the pool-hit path).
@@ -465,7 +462,7 @@ proptest! {
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let sequential = ops::merge_join(&left, &right, Var(0));
+        let sequential = ops::merge_join_in(&ExecContext::new(), &left, &right, Var(0));
         let parallel = ops::merge_join_in(&ctx, &left, &right, Var(0));
         prop_assert_eq!(&parallel, &sequential);
         let oracle = reference::merge_join(&left, &right, Var(0));
@@ -482,14 +479,14 @@ proptest! {
         right in arb_shared_table(6),
         threads in 2usize..=4,
     ) {
-        let ls = ops::sort_by(&left, Var(0));
-        let rs = ops::sort_by(&right, Var(0));
+        let ls = ops::sort_by_in(&ExecContext::new(), &left, Var(0));
+        let rs = ops::sort_by_in(&ExecContext::new(), &right, Var(0));
         let ctx = ExecContext::with_morsel_config(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let sequential = ops::merge_join(&ls, &rs, Var(0));
+        let sequential = ops::merge_join_in(&ExecContext::new(), &ls, &rs, Var(0));
         let parallel = ops::merge_join_in(&ctx, &ls, &rs, Var(0));
         prop_assert_eq!(&parallel, &sequential);
         let oracle = reference::nested_loop_join_rows(&left, &right);
@@ -596,7 +593,7 @@ proptest! {
             ("b".to_string(), Var(1)),
             ("c".to_string(), Var(5)),
         ];
-        let got = ops::project(&table, &projection, true);
+        let got = ops::project_in(&ExecContext::new(), &table, &projection, true);
         // Oracle: row-at-a-time first-occurrence dedup.
         let mut seen = std::collections::HashSet::new();
         let mut expected: Vec<Vec<TermId>> = Vec::new();

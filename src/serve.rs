@@ -10,7 +10,7 @@
 //! ```text
 //! QUERY [planner=hsp] [format=json|table|csv|tsv] [explain=1] [sip=1]
 //!       [threads=N] [timeout_ms=N] [mem_budget_mb=N] [row_budget=N]
-//!       [strategy=auto|operator] [cache=off]
+//!       [cache=off]
 //! <query text>
 //!
 //! UPDATE [timeout_ms=N] [mem_budget_mb=N]
@@ -43,7 +43,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hsp_engine::explain::render_runtime_metrics;
-use hsp_engine::ExecStrategy;
 
 use crate::results;
 use crate::session::{Planner, Request, Session};
@@ -396,7 +395,6 @@ struct ReqOpts {
     timeout_ms: Option<u64>,
     mem_budget_mb: Option<usize>,
     row_budget: Option<usize>,
-    strategy: ExecStrategy,
     cache: bool,
 }
 
@@ -411,7 +409,6 @@ impl ReqOpts {
             timeout_ms: None,
             mem_budget_mb: None,
             row_budget: None,
-            strategy: ExecStrategy::default(),
             cache: true,
         };
         for token in tokens {
@@ -437,7 +434,6 @@ impl ReqOpts {
                 "timeout_ms" => opts.timeout_ms = Some(int("timeout_ms")? as u64),
                 "mem_budget_mb" => opts.mem_budget_mb = Some(int("mem_budget_mb")?),
                 "row_budget" => opts.row_budget = Some(int("row_budget")?),
-                "strategy" => opts.strategy = value.parse()?,
                 "cache" => opts.cache = !matches!(value, "off" | "0" | "false"),
                 other => return Err(format!("unknown option `{other}`")),
             }
@@ -446,9 +442,7 @@ impl ReqOpts {
     }
 
     fn request(&self, text: &str) -> Request {
-        let mut request = Request::new(text)
-            .with_planner(self.planner)
-            .with_strategy(self.strategy);
+        let mut request = Request::new(text).with_planner(self.planner);
         if self.explain {
             request = request.with_explain();
         }
@@ -732,6 +726,11 @@ mod tests {
         let response = client.request("FROBNICATE\n").unwrap();
         assert!(response.starts_with("ERR PROTO"), "{response}");
         let response = client.query("format=xml", "ASK { ?s ?p ?o . }").unwrap();
+        assert!(response.starts_with("ERR PROTO"), "{response}");
+        // The materialising oracle is not selectable from the wire.
+        let response = client
+            .query("strategy=operator", "ASK { ?s ?p ?o . }")
+            .unwrap();
         assert!(response.starts_with("ERR PROTO"), "{response}");
         let response = client.query("", "SELECT ?x WHERE { broken").unwrap();
         assert!(response.starts_with("ERR PARSE"), "{response}");

@@ -649,24 +649,25 @@ fn query_snapshot(
     ctx: &ExecContext,
     cache: Option<&QueryCache>,
 ) -> Result<(Response, Reads), SessionError> {
-    if let Ok(ast) = hsp_sparql::parse_query(&request.text) {
-        if ast.ask {
-            let reads = ast_reads(&ast.where_clause);
-            let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
-            let ask = Some(!output.rows.is_empty());
-            return Ok((
-                Response {
-                    output,
-                    ask,
-                    explain: None,
-                    note: None,
-                    metrics: RuntimeMetrics::of(ctx),
-                },
-                reads,
-            ));
-        }
+    // Parse once: the ASK, join and extended branches all share this AST.
+    let ast = hsp_sparql::parse_query(&request.text)
+        .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
+    if ast.ask {
+        let reads = ast_reads(&ast.where_clause);
+        let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
+        let ask = Some(!output.rows.is_empty());
+        return Ok((
+            Response {
+                output,
+                ask,
+                explain: None,
+                note: None,
+                metrics: RuntimeMetrics::of(ctx),
+            },
+            reads,
+        ));
     }
-    match JoinQuery::parse(&request.text) {
+    match JoinQuery::from_ast(&ast) {
         Ok(query) => {
             // Plan tier: HSP plans are statistics-free, so any query
             // with the same canonical shape reuses the cached plan with
@@ -705,12 +706,13 @@ fn query_snapshot(
                     &output.profile,
                     &planned_query,
                 );
-                // SIP and row-budget executions fall back to the
-                // operator-at-a-time evaluator — only render the pipeline
-                // DAG when the pipeline executor actually ran.
-                if !request.sip && request.row_budget.is_none() {
+                // The pipeline DAG exists only when the pipelines ran (not
+                // under the operator-at-a-time oracle); lowered with the
+                // request's SIP setting, it shows the `+sip` scans that ran.
+                if request.strategy == ExecStrategy::Auto {
                     text.push_str(&hsp_engine::explain::render_pipeline_dag(
                         &plan,
+                        request.sip,
                         &planned_query,
                     ));
                 }
@@ -758,8 +760,6 @@ fn query_snapshot(
                      using the extended evaluator (HSP-planned blocks)"
                 )
             });
-            let ast = hsp_sparql::parse_query(&request.text)
-                .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
             let reads = ast_reads(&ast.where_clause);
             let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
             Ok((
@@ -874,6 +874,42 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.code(), "UNSUPPORTED");
+    }
+
+    #[test]
+    fn explain_renders_the_dag_that_ran() {
+        let session = Session::new(dataset());
+        let join = "SELECT ?n ?e WHERE { ?p <http://e/name> ?n . ?p <http://e/email> ?e . }";
+        let explain = |request: Request| session.query(request).unwrap().explain.unwrap();
+
+        let pipelined = explain(Request::new(join).with_explain());
+        assert!(pipelined.contains("pipeline DAG"), "{pipelined}");
+        assert!(!pipelined.contains("+sip"), "{pipelined}");
+
+        // The oracle runs no pipelines, so it renders no DAG.
+        let oracle = explain(
+            Request::new(join)
+                .with_explain()
+                .with_strategy(ExecStrategy::OperatorAtATime),
+        );
+        assert!(!oracle.contains("pipeline DAG"), "{oracle}");
+
+        // SIP runs in the pipelines: the DAG shows the narrowed scan.
+        let sip = explain(Request::new(join).with_explain().with_sip());
+        assert!(sip.contains("pipeline DAG"), "{sip}");
+        assert!(sip.contains("+sip(?p∈s"), "{sip}");
+    }
+
+    #[test]
+    fn parse_errors_win_over_explain() {
+        let session = Session::new(dataset());
+        for request in [
+            Request::new("SELECT ?n WHERE { ?p <http://e/name> "),
+            Request::new("SELECT ?n WHERE { ?p <http://e/name> ").with_explain(),
+        ] {
+            let err = session.query(request).unwrap_err();
+            assert_eq!(err.code(), "PARSE", "{err}");
+        }
     }
 
     #[test]

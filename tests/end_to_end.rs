@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 use hsp_bench::planners::{plan_query, PlannerKind};
 use hsp_bench::{BenchEnv, EnvConfig};
 use hsp_datagen::workload;
-use hsp_engine::{execute, ExecConfig};
+use hsp_engine::{execute, ExecConfig, ExecStrategy};
 use hsp_sparql::Var;
 
 fn env() -> &'static BenchEnv {
@@ -101,29 +101,61 @@ fn hsp_plans_are_statistics_free() {
     }
 }
 
+/// The per-node SIP profile (`label`, `output_rows`, pre-order) of every
+/// workload query's HSP and CDP plan, as the operator-at-a-time tree walk
+/// reported it when SIP still ran there. Pipelined SIP must match it.
+const SIP_PROFILES: &str = include_str!("fixtures/sip_profiles.tsv");
+
 #[test]
 fn sip_execution_agrees_on_whole_workload() {
-    // Sideways information passing must not change any result, and must
-    // never *increase* the intermediate-result footprint.
+    // Sideways information passing must not change any result, must
+    // never *increase* the intermediate-result footprint, and must report
+    // exactly the per-operator profile pinned above — at any thread count.
     let env = env();
-    for q in workload() {
-        let parsed = q.parse();
-        let ds = env.dataset(q.dataset);
-        let planned = plan_query(PlannerKind::Hsp, ds, &parsed).unwrap();
-        let plain = execute(&planned.plan, ds, &ExecConfig::unlimited()).unwrap();
-        let sip = execute(&planned.plan, ds, &ExecConfig::unlimited().with_sip()).unwrap();
-        let proj: Vec<Var> = planned.query.projection.iter().map(|&(_, v)| v).collect();
-        assert_eq!(
-            sip.table.sorted_rows_for(&proj),
-            plain.table.sorted_rows_for(&proj),
-            "{}: SIP changed the result",
-            q.id
-        );
-        assert!(
-            sip.profile.total_intermediate_rows() <= plain.profile.total_intermediate_rows(),
-            "{}: SIP increased intermediates",
-            q.id
-        );
+    for (kind, name) in [(PlannerKind::Hsp, "hsp"), (PlannerKind::Cdp, "cdp")] {
+        for q in workload() {
+            let parsed = q.parse();
+            let ds = env.dataset(q.dataset);
+            let planned = plan_query(kind, ds, &parsed).unwrap();
+            let want: Vec<(String, usize)> = SIP_PROFILES
+                .lines()
+                .filter_map(|line| {
+                    let fields: Vec<&str> = line.split('\t').collect();
+                    (fields[0] == q.id && fields[1] == name)
+                        .then(|| (fields[2].to_string(), fields[3].parse().unwrap()))
+                })
+                .collect();
+            assert!(!want.is_empty(), "{} {name}: no pinned profile", q.id);
+            let oracle = execute(
+                &planned.plan,
+                ds,
+                &ExecConfig::unlimited().with_strategy(ExecStrategy::OperatorAtATime),
+            )
+            .unwrap();
+            for threads in 1..=4 {
+                let config = ExecConfig::unlimited()
+                    .with_sip()
+                    .with_threads(threads)
+                    .with_morsel_rows(64)
+                    .with_min_parallel_rows(0);
+                let sip = execute(&planned.plan, ds, &config).unwrap();
+                let mut got = Vec::new();
+                sip.profile
+                    .visit(&mut |p| got.push((p.label.clone(), p.output_rows)));
+                assert_eq!(got, want, "{} {name}: SIP profile, threads={threads}", q.id);
+                assert_eq!(
+                    sip.table, oracle.table,
+                    "{} {name}: SIP changed the result, threads={threads}",
+                    q.id
+                );
+                assert!(
+                    sip.profile.total_intermediate_rows()
+                        <= oracle.profile.total_intermediate_rows(),
+                    "{} {name}: SIP increased intermediates",
+                    q.id
+                );
+            }
+        }
     }
 }
 
